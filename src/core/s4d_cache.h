@@ -185,7 +185,7 @@ class S4DCache final : public mpiio::IoDispatch {
   // pressure signal the policy subsystem's LBICA-style admission veto
   // consults. With a queue-pressure probe installed (calibration
   // subsystem), the probe's client-side counters replace the servers'
-  // internal queue lengths — same signal, island-safe in parallel runs.
+  // internal queue lengths.
   double CacheTierMeanQueueDepth() const;
 
   // --- calibration subsystem hooks ---------------------------------------
