@@ -11,15 +11,20 @@
 //                (default BENCH_<name>.json in the current directory)
 //   --no-json    skip writing the JSON result
 //
+// A malformed number (`--seed=4x2`), `--jobs` below 1 or an unknown flag
+// is a usage error: a message on stderr and exit 1, before any simulation.
+//
 // Output convention: each bench prints the table/series the corresponding
 // paper figure or table reports (plus the scale it ran at) for humans, and
 // records every headline number through BenchReporter::Add so the same run
 // lands in BENCH_<name>.json for EXPERIMENTS.md and the CI regression gate.
 #pragma once
 
-#include <cstdio>
-#include <cstring>
+#include <charconv>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -40,16 +45,35 @@ struct BenchArgs {
   bool write_json = true;
 };
 
+// Parses the whole of `text` as a decimal number; false on empty input,
+// trailing characters or overflow.
+template <typename T>
+bool ParseWholeNumber(const char* text, T* out) {
+  const char* last = text + std::strlen(text);
+  T value{};
+  const auto result = std::from_chars(text, last, value);
+  if (result.ec != std::errc{} || result.ptr != last) return false;
+  *out = value;
+  return true;
+}
+
 inline BenchArgs ParseArgs(int argc, char** argv) {
   BenchArgs args;
+  auto usage_error = [&](const char* what, const char* arg) {
+    std::fprintf(stderr, "%s: %s: %s (see --help)\n", argv[0], what, arg);
+    std::exit(1);
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--full") == 0) {
       args.full = true;
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+      if (!ParseWholeNumber(argv[i] + 7, &args.seed)) {
+        usage_error("--seed wants a non-negative integer", argv[i]);
+      }
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      args.jobs = static_cast<int>(std::strtol(argv[i] + 7, nullptr, 10));
-      if (args.jobs < 1) args.jobs = 1;
+      if (!ParseWholeNumber(argv[i] + 7, &args.jobs) || args.jobs < 1) {
+        usage_error("--jobs wants a positive count", argv[i]);
+      }
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       args.json_path = argv[i] + 7;
     } else if (std::strcmp(argv[i], "--no-json") == 0) {
@@ -60,6 +84,8 @@ inline BenchArgs ParseArgs(int argc, char** argv) {
           "[--no-json]\n",
           argv[0]);
       std::exit(0);
+    } else {
+      usage_error("unknown argument", argv[i]);
     }
   }
   return args;

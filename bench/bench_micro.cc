@@ -96,6 +96,40 @@ void BM_DmtInsertEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_DmtInsertEvict);
 
+// One clean extent behind N dirty ones — the cache-full-of-dirty regime.
+// The victim search reads the clean index only, so the cost per
+// evict+reinsert should stay flat in N.
+void BM_DmtEvictLruCleanDirtyFull(benchmark::State& state) {
+  core::DataMappingTable dmt;
+  const std::int64_t dirty = state.range(0);
+  for (std::int64_t i = 0; i < dirty; ++i) {
+    dmt.Insert("file", i * 16 * KiB, 16 * KiB, i * 16 * KiB, true);
+  }
+  const byte_count clean_at = dirty * 16 * KiB;
+  dmt.Insert("file", clean_at, 16 * KiB, clean_at, false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dmt.EvictLruClean());
+    dmt.Insert("file", clean_at, 16 * KiB, clean_at, false);
+  }
+}
+BENCHMARK(BM_DmtEvictLruCleanDirtyFull)->Arg(1024)->Arg(65536);
+
+// N clean extents with 8 dirty ones spread among them. A destage scan
+// walks the dirty set only, so its cost should stay flat in N.
+void BM_DmtCollectDirtyRunsMostlyClean(benchmark::State& state) {
+  core::DataMappingTable dmt;
+  const std::int64_t entries = state.range(0);
+  const std::int64_t dirty_every = entries / 8;
+  for (std::int64_t i = 0; i < entries; ++i) {
+    dmt.Insert("file", i * 16 * KiB, 16 * KiB, i * 16 * KiB,
+               i % dirty_every == 0);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dmt.CollectDirtyRuns(1 * GiB, 1 * MiB));
+  }
+}
+BENCHMARK(BM_DmtCollectDirtyRunsMostlyClean)->Arg(1024)->Arg(65536);
+
 void BM_RedirectorPlanWriteHit(benchmark::State& state) {
   core::CriticalDataTable cdt;
   core::DataMappingTable dmt;

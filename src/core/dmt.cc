@@ -40,14 +40,46 @@ const DataMappingTable::FileMap* DataMappingTable::FindFile(
   return it == file_index_.end() ? nullptr : &files_[it->second];
 }
 
-void DataMappingTable::IndexLru(std::uint32_t file_index, byte_count begin,
-                                Entry& entry) {
-  entry.lru_seq = next_lru_seq_++;
-  lru_index_.emplace(entry.lru_seq, LruRef{file_index, begin});
+void DataMappingTable::Index(std::uint32_t file_index, byte_count begin,
+                             const Entry& entry) {
+  if (entry.dirty) {
+    dirty_.emplace(file_index, begin);
+  } else {
+    clean_lru_.emplace(entry.lru_seq, LruRef{file_index, begin});
+  }
 }
 
-void DataMappingTable::UnindexLru(const Entry& entry) {
-  lru_index_.erase(entry.lru_seq);
+void DataMappingTable::Unindex(std::uint32_t file_index, byte_count begin,
+                               const Entry& entry) {
+  if (entry.dirty) {
+    dirty_.erase(DirtyKey{file_index, begin});
+  } else {
+    clean_lru_.erase(entry.lru_seq);
+  }
+}
+
+void DataMappingTable::SetFlag(std::uint32_t file_index, byte_count begin,
+                               Entry& entry, bool dirty) {
+  if (entry.dirty == dirty) return;
+  Unindex(file_index, begin, entry);
+  entry.dirty = dirty;
+  Index(file_index, begin, entry);
+  entry.dirty_since = dirty ? ClockNow() : 0;
+  const byte_count len = entry.end - begin;
+  dirty_bytes_ += dirty ? len : -len;
+}
+
+const DataMappingTable::Entry& DataMappingTable::DirtyWalk::operator()(
+    const DirtyKey& key) {
+  const FileMap& map = dmt_.files_[key.first];
+  if (!valid_ || file_ != key.first || ++it_ == map.end() ||
+      it_->first != key.second) {
+    it_ = map.find(key.second);
+    file_ = key.first;
+    valid_ = true;
+  }
+  S4D_DCHECK(it_ != map.end() && it_->second.dirty);
+  return it_->second;
 }
 
 void DataMappingTable::PersistEntry(std::uint32_t file_index,
@@ -111,7 +143,8 @@ Status DataMappingTable::LoadFromStore() {
     if (!inserted) return Status::Corruption("duplicate DMT record: " + key);
     mapped_bytes_ += entry.end - begin;
     if (entry.dirty) dirty_bytes_ += entry.end - begin;
-    IndexLru(file_index, begin, it->second);
+    Stamp(it->second);
+    Index(file_index, begin, it->second);
   }
 #ifdef S4D_PARANOID
   AuditInvariants();
@@ -194,9 +227,10 @@ void DataMappingTable::SplitAt(std::uint32_t file_index, byte_count pos) {
   // match without needing a version bump.
   it->second.end = pos;
   PersistEntry(file_index, it->first, it->second);
+  Stamp(right);
   auto [new_it, inserted] = map.emplace(pos, right);
   S4D_CHECK(inserted) << "split position " << pos << " already a boundary";
-  IndexLru(file_index, pos, new_it->second);
+  Index(file_index, pos, new_it->second);
   PersistEntry(file_index, pos, new_it->second);
 }
 
@@ -221,10 +255,11 @@ void DataMappingTable::Insert(const std::string& file, byte_count offset,
   entry.dirty = dirty;
   if (dirty) entry.dirty_since = ClockNow();
   entry.version = next_version_++;
+  Stamp(entry);
   auto [it, inserted] = map.emplace(offset, entry);
   S4D_CHECK(inserted) << "mapping already begins at " << offset << " in "
                       << file;
-  IndexLru(file_index, offset, it->second);
+  Index(file_index, offset, it->second);
   PersistEntry(file_index, offset, it->second);
   mapped_bytes_ += size;
   if (dirty) dirty_bytes_ += size;
@@ -258,7 +293,7 @@ std::vector<RemovedExtent> DataMappingTable::Invalidate(
 
     mapped_bytes_ -= ext.length();
     if (ext.dirty) dirty_bytes_ -= ext.length();
-    UnindexLru(it->second);
+    Unindex(file_index, it->first, it->second);
     ErasePersisted(file_index, it->first);
     it = map.erase(it);
   }
@@ -281,12 +316,7 @@ void DataMappingTable::SetDirty(const std::string& file, byte_count offset,
   for (auto it = map.lower_bound(offset); it != map.end() && it->first < end;
        ++it) {
     Entry& entry = it->second;
-    if (entry.dirty != dirty) {
-      entry.dirty = dirty;
-      entry.dirty_since = dirty ? ClockNow() : 0;
-      const byte_count len = entry.end - it->first;
-      dirty_bytes_ += dirty ? len : -len;
-    }
+    SetFlag(file_index, it->first, entry, dirty);
     if (dirty) entry.version = next_version_++;
     PersistEntry(file_index, it->first, entry);
   }
@@ -306,53 +336,35 @@ void DataMappingTable::Touch(const std::string& file, byte_count offset,
     if (prev->second.end > offset) it = prev;
   }
   for (; it != map.end() && it->first < end; ++it) {
-    UnindexLru(it->second);
-    IndexLru(idx_it->second, it->first, it->second);
+    Entry& entry = it->second;
+    if (entry.dirty) {
+      Stamp(entry);  // the dirty set is file-ordered; only the stamp moves
+      continue;
+    }
+    auto node = clean_lru_.extract(entry.lru_seq);
+    Stamp(entry);
+    node.key() = entry.lru_seq;
+    clean_lru_.insert(std::move(node));
   }
   MaybeAudit();
 }
 
 std::optional<RemovedExtent> DataMappingTable::EvictLruClean() {
-  InvalidateHint();
-  for (auto lru_it = lru_index_.begin(); lru_it != lru_index_.end();
-       ++lru_it) {
-    const LruRef ref = lru_it->second;
-    FileMap& map = files_[ref.file_index];
-    auto it = map.find(ref.begin);
-    S4D_CHECK(it != map.end() && it->second.lru_seq == lru_it->first)
-        << "LRU index out of sync for " << file_names_[ref.file_index]
-        << " at " << ref.begin;
-    if (it->second.dirty) continue;  // only clean space is reclaimable
-
-    RemovedExtent ext;
-    ext.file = file_names_[ref.file_index];
-    ext.orig_begin = it->first;
-    ext.orig_end = it->second.end;
-    ext.cache_offset = it->second.cache_offset;
-    ext.dirty = false;
-
-    mapped_bytes_ -= ext.length();
-    lru_index_.erase(lru_it);
-    ErasePersisted(ref.file_index, it->first);
-    map.erase(it);
-    MaybeAudit();
-    return ext;
-  }
-  return std::nullopt;
+  return EvictLruCleanIf(nullptr);
 }
 
 std::optional<RemovedExtent> DataMappingTable::EvictLruCleanIf(
     const std::function<bool(const RemovedExtent&)>& pred) {
   InvalidateHint();
-  for (auto lru_it = lru_index_.begin(); lru_it != lru_index_.end();
+  for (auto lru_it = clean_lru_.begin(); lru_it != clean_lru_.end();
        ++lru_it) {
     const LruRef ref = lru_it->second;
     FileMap& map = files_[ref.file_index];
     auto it = map.find(ref.begin);
-    S4D_CHECK(it != map.end() && it->second.lru_seq == lru_it->first)
-        << "LRU index out of sync for " << file_names_[ref.file_index]
+    S4D_CHECK(it != map.end() && it->second.lru_seq == lru_it->first &&
+              !it->second.dirty)
+        << "clean LRU index out of sync for " << file_names_[ref.file_index]
         << " at " << ref.begin;
-    if (it->second.dirty) continue;  // only clean space is reclaimable
 
     RemovedExtent ext;
     ext.file = file_names_[ref.file_index];
@@ -363,7 +375,7 @@ std::optional<RemovedExtent> DataMappingTable::EvictLruCleanIf(
     if (pred && !pred(ext)) continue;  // outside the caller's partition
 
     mapped_bytes_ -= ext.length();
-    lru_index_.erase(lru_it);
+    clean_lru_.erase(lru_it);
     ErasePersisted(ref.file_index, it->first);
     map.erase(it);
     MaybeAudit();
@@ -395,7 +407,7 @@ std::optional<RemovedExtent> DataMappingTable::EvictCleanOverlapping(
     ext.dirty = false;
 
     mapped_bytes_ -= ext.length();
-    UnindexLru(it->second);
+    clean_lru_.erase(it->second.lru_seq);
     ErasePersisted(file_index, it->first);
     map.erase(it);
     MaybeAudit();
@@ -406,19 +418,32 @@ std::optional<RemovedExtent> DataMappingTable::EvictCleanOverlapping(
 
 std::vector<DirtyRange> DataMappingTable::CollectDirty(
     std::size_t max_ranges) const {
+  // The max_ranges least recently used dirty entries; stamps are unique, so
+  // the order is total.
+  struct Ref {
+    const DirtyKey* key;
+    const Entry* entry;
+  };
+  std::vector<Ref> refs;
+  refs.reserve(dirty_.size());
+  DirtyWalk walk(*this);
+  for (const DirtyKey& key : dirty_) refs.push_back(Ref{&key, &walk(key)});
+  const std::size_t n = std::min(max_ranges, refs.size());
+  std::partial_sort(refs.begin(), refs.begin() + static_cast<std::ptrdiff_t>(n),
+                    refs.end(), [](const Ref& a, const Ref& b) {
+                      return a.entry->lru_seq < b.entry->lru_seq;
+                    });
   std::vector<DirtyRange> out;
-  for (const auto& [seq, ref] : lru_index_) {
-    if (out.size() >= max_ranges) break;
-    const FileMap& map = files_[ref.file_index];
-    auto it = map.find(ref.begin);
-    S4D_DCHECK(it != map.end());
-    if (!it->second.dirty) continue;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const DirtyKey& key = *refs[i].key;
+    const Entry& entry = *refs[i].entry;
     DirtyRange range;
-    range.file = file_names_[ref.file_index];
-    range.orig_begin = it->first;
-    range.orig_end = it->second.end;
-    range.cache_offset = it->second.cache_offset;
-    range.version = it->second.version;
+    range.file = file_names_[key.first];
+    range.orig_begin = key.second;
+    range.orig_end = entry.end;
+    range.cache_offset = entry.cache_offset;
+    range.version = entry.version;
     out.push_back(std::move(range));
   }
   return out;
@@ -428,40 +453,42 @@ std::vector<DirtyRun> DataMappingTable::CollectDirtyRuns(
     byte_count max_total_bytes, byte_count max_run_bytes) const {
   std::vector<DirtyRun> runs;
   byte_count total = 0;
-  for (std::size_t i = 0; i < files_.size() && total < max_total_bytes; ++i) {
-    DirtyRun run;
-    auto emit = [&] {
-      if (!run.segments.empty()) {
-        total += run.length();
-        runs.push_back(std::move(run));
-        run = DirtyRun{};
-      }
-    };
-    for (const auto& [begin, entry] : files_[i]) {
-      if (total + run.length() >= max_total_bytes) break;
-      if (!entry.dirty) {
-        emit();
-        continue;
-      }
-      const bool continues = !run.segments.empty() &&
-                             run.orig_end == begin &&
-                             run.length() + (entry.end - begin) <= max_run_bytes;
-      if (!continues) emit();
-      if (run.segments.empty()) {
-        run.file = file_names_[i];
-        run.orig_begin = begin;
-      }
-      run.orig_end = entry.end;
-      DirtyRange seg;
-      seg.file = file_names_[i];
-      seg.orig_begin = begin;
-      seg.orig_end = entry.end;
-      seg.cache_offset = entry.cache_offset;
-      seg.version = entry.version;
-      run.segments.push_back(std::move(seg));
+  DirtyRun run;
+  std::uint32_t run_file = 0;
+  auto emit = [&] {
+    if (!run.segments.empty()) {
+      total += run.length();
+      runs.push_back(std::move(run));
+      run = DirtyRun{};
     }
-    emit();
+  };
+  // The dirty set is the table order filtered to dirty extents. A clean
+  // extent or a hole between two dirty ones leaves orig_end != begin, so
+  // the adjacency test alone splits runs there.
+  DirtyWalk walk(*this);
+  for (const DirtyKey& key : dirty_) {
+    const auto& [file_index, begin] = key;
+    if (file_index != run_file) emit();
+    if (total + run.length() >= max_total_bytes) break;
+    const Entry& entry = walk(key);
+    const bool continues = !run.segments.empty() && run.orig_end == begin &&
+                           run.length() + (entry.end - begin) <= max_run_bytes;
+    if (!continues) emit();
+    if (run.segments.empty()) {
+      run_file = file_index;
+      run.file = file_names_[file_index];
+      run.orig_begin = begin;
+    }
+    run.orig_end = entry.end;
+    DirtyRange seg;
+    seg.file = run.file;
+    seg.orig_begin = begin;
+    seg.orig_end = entry.end;
+    seg.cache_offset = entry.cache_offset;
+    seg.version = entry.version;
+    run.segments.push_back(std::move(seg));
   }
+  emit();
   return runs;
 }
 
@@ -476,9 +503,7 @@ bool DataMappingTable::MarkCleanIfVersion(const std::string& file,
       it->second.version != version || !it->second.dirty) {
     return false;  // the extent changed while the flush was in flight
   }
-  it->second.dirty = false;
-  it->second.dirty_since = 0;
-  dirty_bytes_ -= end - begin;
+  SetFlag(idx_it->second, begin, it->second, false);
   PersistEntry(idx_it->second, begin, it->second);
   MaybeAudit();
   return true;
@@ -496,24 +521,22 @@ DataMappingTable::DirtyAgeSummary DataMappingTable::SummarizeDirtyAges(
   std::uint64_t stride = 1;
   std::uint64_t index = 0;
   long double total = 0.0L;
-  for (const FileMap& map : files_) {
-    for (const auto& [begin, entry] : map) {
-      if (!entry.dirty) continue;
-      const SimTime age =
-          now > entry.dirty_since ? now - entry.dirty_since : 0;
-      ++summary.dirty_extents;
-      summary.oldest = std::max(summary.oldest, age);
-      total += static_cast<long double>(age);
-      if (index++ % stride == 0) {
-        sample.push_back(age);
-        if (sample.size() == kMaxSample) {
-          std::size_t keep = 0;
-          for (std::size_t i = 0; i < sample.size(); i += 2) {
-            sample[keep++] = sample[i];
-          }
-          sample.resize(keep);
-          stride *= 2;
+  DirtyWalk walk(*this);
+  for (const DirtyKey& key : dirty_) {
+    const Entry& entry = walk(key);
+    const SimTime age = now > entry.dirty_since ? now - entry.dirty_since : 0;
+    ++summary.dirty_extents;
+    summary.oldest = std::max(summary.oldest, age);
+    total += static_cast<long double>(age);
+    if (index++ % stride == 0) {
+      sample.push_back(age);
+      if (sample.size() == kMaxSample) {
+        std::size_t keep = 0;
+        for (std::size_t i = 0; i < sample.size(); i += 2) {
+          sample[keep++] = sample[i];
         }
+        sample.resize(keep);
+        stride *= 2;
       }
     }
   }
@@ -531,7 +554,7 @@ DataMappingTable::DirtyAgeSummary DataMappingTable::SummarizeDirtyAges(
 
 std::vector<RemovedExtent> DataMappingTable::AllExtents() const {
   std::vector<RemovedExtent> out;
-  out.reserve(lru_index_.size());
+  out.reserve(entry_count());
   for (std::size_t i = 0; i < files_.size(); ++i) {
     for (const auto& [begin, entry] : files_[i]) {
       RemovedExtent ext;
@@ -552,6 +575,7 @@ void DataMappingTable::AuditInvariants() const {
   byte_count mapped = 0;
   byte_count dirty = 0;
   std::size_t entries = 0;
+  std::size_t dirty_entries = 0;
   for (std::size_t i = 0; i < files_.size(); ++i) {
     byte_count prev_end = 0;
     bool first = true;
@@ -566,12 +590,29 @@ void DataMappingTable::AuditInvariants() const {
       S4D_CHECK(entry.version < next_version_)
           << "version " << entry.version << " >= allocator cursor "
           << next_version_;
-      const auto lru = lru_index_.find(entry.lru_seq);
-      S4D_CHECK(lru != lru_index_.end())
-          << "extent at " << begin << " in " << file_names_[i]
-          << " missing from the LRU index";
-      S4D_CHECK(lru->second.file_index == i && lru->second.begin == begin)
-          << "LRU index points elsewhere for extent at " << begin;
+      // Exactly the index the D_flag names: a dirty extent in the dirty
+      // set and absent from the clean index, a clean one the reverse.
+      const auto lru = clean_lru_.find(entry.lru_seq);
+      const bool in_dirty_set =
+          dirty_.count(DirtyKey{static_cast<std::uint32_t>(i), begin}) != 0;
+      if (entry.dirty) {
+        S4D_CHECK(in_dirty_set)
+            << "dirty extent at " << begin << " in " << file_names_[i]
+            << " missing from the dirty set";
+        S4D_CHECK(lru == clean_lru_.end())
+            << "dirty extent at " << begin << " in " << file_names_[i]
+            << " also in the clean LRU index";
+        ++dirty_entries;
+      } else {
+        S4D_CHECK(lru != clean_lru_.end())
+            << "clean extent at " << begin << " in " << file_names_[i]
+            << " missing from the clean LRU index";
+        S4D_CHECK(lru->second.file_index == i && lru->second.begin == begin)
+            << "clean LRU index points elsewhere for extent at " << begin;
+        S4D_CHECK(!in_dirty_set)
+            << "clean extent at " << begin << " in " << file_names_[i]
+            << " also in the dirty set";
+      }
       mapped += entry.end - begin;
       if (entry.dirty) dirty += entry.end - begin;
       ++entries;
@@ -579,9 +620,11 @@ void DataMappingTable::AuditInvariants() const {
       first = false;
     }
   }
-  S4D_CHECK(entries == lru_index_.size())
-      << "LRU index holds " << lru_index_.size() << " refs for " << entries
-      << " extents";
+  S4D_CHECK(dirty_entries == dirty_.size() &&
+            entries - dirty_entries == clean_lru_.size())
+      << "indexes hold " << clean_lru_.size() << " clean + " << dirty_.size()
+      << " dirty refs for " << entries - dirty_entries << " clean + "
+      << dirty_entries << " dirty extents";
   S4D_CHECK(mapped == mapped_bytes_)
       << "mapped_bytes counter " << mapped_bytes_ << " != recomputed "
       << mapped;
@@ -591,7 +634,7 @@ void DataMappingTable::AuditInvariants() const {
 }
 
 std::size_t DataMappingTable::entry_count() const {
-  return lru_index_.size();
+  return clean_lru_.size() + dirty_.size();
 }
 
 byte_count DataMappingTable::mapped_bytes() const { return mapped_bytes_; }

@@ -8,6 +8,11 @@
 // per-extent version counter that lets the Rebuilder detect writes that
 // raced with an in-flight flush.
 //
+// Each extent is also indexed by its D_flag, in exactly one of two places:
+// clean extents in a recency index (oldest first, so a victim search is
+// O(log n) however much of the cache is dirty), dirty extents in a
+// file-ordered set (so a destage scan costs O(dirty), not O(entries)).
+//
 // When constructed with a KvStore, every mutation is written through to the
 // store (the paper persists the DMT synchronously via Berkeley DB so it
 // survives power failures); LoadFromStore() rebuilds the table on restart.
@@ -17,8 +22,10 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -114,10 +121,11 @@ class DataMappingTable {
   std::optional<RemovedExtent> EvictLruClean();
 
   // Like EvictLruClean(), but only mappings for which `pred` returns true
-  // qualify (pred sees the candidate before removal). Walks the recency
-  // index oldest-first, so with an always-true predicate the selection is
-  // identical to EvictLruClean(). Used by the tenant subsystem to restrict
-  // victim selection to one cache partition.
+  // qualify (pred sees the candidate before removal; an empty `pred`
+  // accepts every one). Walks the clean recency index oldest-first, so with
+  // an always-true predicate the selection is identical to EvictLruClean().
+  // Used by the tenant subsystem to restrict victim selection to one cache
+  // partition.
   std::optional<RemovedExtent> EvictLruCleanIf(
       const std::function<bool(const RemovedExtent&)>& pred);
 
@@ -131,11 +139,14 @@ class DataMappingTable {
                                                      byte_count end);
 
   // Snapshots up to `max_ranges` dirty extents (least recently used first).
+  // O(dirty log n): the dirty set is file-ordered, so it is sorted by
+  // recency here.
   std::vector<DirtyRange> CollectDirty(std::size_t max_ranges) const;
 
   // Snapshots dirty extents in file order, coalescing extents adjacent in
   // the original file into runs of at most `max_run_bytes`, until about
-  // `max_total_bytes` have been collected.
+  // `max_total_bytes` have been collected. Walks only the dirty set, so a
+  // call costs O(collected) lookups, however many clean extents there are.
   std::vector<DirtyRun> CollectDirtyRuns(byte_count max_total_bytes,
                                          byte_count max_run_bytes) const;
 
@@ -176,8 +187,9 @@ class DataMappingTable {
 
   // Walks the whole table and S4D_CHECKs the representation invariants:
   // per-file extents sorted and non-overlapping with positive length, the
-  // mapped/dirty byte counters equal to the recomputed sums, every entry
-  // indexed by the LRU map (and vice versa), and versions below the
+  // mapped/dirty byte counters equal to the recomputed sums, every entry in
+  // exactly the index its D_flag names (clean recency index or dirty set;
+  // the two sizes sum to the entry count), and versions below the
   // allocator cursor. O(entries); aborts with the violated invariant on
   // failure. Paranoid builds (-DS4D_PARANOID=ON) run it automatically every
   // few mutations; tests call it directly.
@@ -195,6 +207,9 @@ class DataMappingTable {
     byte_count cache_offset = 0;  // of the entry's begin
     bool dirty = false;
     std::uint64_t version = 0;
+    // Recency stamp, unique per entry. Keys the clean index; a dirty entry
+    // keeps its stamp so it re-enters that index at its recency when
+    // cleaned, and CollectDirty orders by it.
     std::uint64_t lru_seq = 0;
     // When the extent last transitioned clean→dirty (0 = no clock or
     // clean). In-memory only — never persisted. Splits copy the Entry, so
@@ -207,6 +222,7 @@ class DataMappingTable {
     std::uint32_t file_index;
     byte_count begin;
   };
+  using DirtyKey = std::pair<std::uint32_t, byte_count>;  // (file, begin)
 
   FileMap* FindFile(const std::string& file);
   const FileMap* FindFile(const std::string& file) const;
@@ -225,8 +241,30 @@ class DataMappingTable {
   // Splits the entry containing `pos` (if any) so `pos` becomes a boundary.
   void SplitAt(std::uint32_t file_index, byte_count pos);
 
-  void IndexLru(std::uint32_t file_index, byte_count begin, Entry& entry);
-  void UnindexLru(const Entry& entry);
+  // Gives `entry` a fresh recency stamp.
+  void Stamp(Entry& entry) { entry.lru_seq = next_lru_seq_++; }
+  // Adds/removes `entry` to/from the index its D_flag names.
+  void Index(std::uint32_t file_index, byte_count begin, const Entry& entry);
+  void Unindex(std::uint32_t file_index, byte_count begin,
+               const Entry& entry);
+  // Sets D_flag, moving the entry to the matching index (its stamp kept)
+  // and updating the dirty stamp and byte counter. No-op if unchanged.
+  void SetFlag(std::uint32_t file_index, byte_count begin, Entry& entry,
+               bool dirty);
+  // Resolves dirty-set keys, taken in set order, to their entries. A key
+  // that is also the file-map successor of the previous one (dense dirty
+  // data) costs one iterator step instead of a find.
+  class DirtyWalk {
+   public:
+    explicit DirtyWalk(const DataMappingTable& dmt) : dmt_(dmt) {}
+    const Entry& operator()(const DirtyKey& key);
+
+   private:
+    const DataMappingTable& dmt_;
+    std::uint32_t file_ = 0;
+    bool valid_ = false;
+    FileMap::const_iterator it_;
+  };
 
   void PersistEntry(std::uint32_t file_index, byte_count begin,
                     const Entry& entry);
@@ -257,7 +295,8 @@ class DataMappingTable {
   std::unordered_map<std::string, std::uint32_t> file_index_;
   std::vector<std::string> file_names_;
   std::vector<FileMap> files_;
-  std::map<std::uint64_t, LruRef> lru_index_;  // lru_seq -> entry
+  std::map<std::uint64_t, LruRef> clean_lru_;  // lru_seq -> clean entry
+  std::set<DirtyKey> dirty_;                   // dirty entries, file order
   std::uint64_t next_lru_seq_ = 1;
   std::uint64_t next_version_ = 1;
   byte_count mapped_bytes_ = 0;

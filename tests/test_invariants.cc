@@ -22,7 +22,22 @@ struct DmtTestPeer {
     dmt.mapped_bytes_ += delta;
   }
   static void DropLruEntry(DataMappingTable& dmt) {
-    dmt.lru_index_.erase(dmt.lru_index_.begin());
+    dmt.clean_lru_.erase(dmt.clean_lru_.begin());
+  }
+  static void DropDirtyEntry(DataMappingTable& dmt) {
+    dmt.dirty_.erase(dmt.dirty_.begin());
+  }
+  static void FlipDirtyWithoutReindex(DataMappingTable& dmt) {
+    // Marks the first clean extent dirty (byte counter kept consistent) but
+    // leaves it in the clean index: the D_flag and the index disagree.
+    for (auto& map : dmt.files_) {
+      for (auto& [begin, entry] : map) {
+        if (entry.dirty) continue;
+        entry.dirty = true;
+        dmt.dirty_bytes_ += entry.end - begin;
+        return;
+      }
+    }
   }
 };
 
@@ -86,6 +101,18 @@ TEST(DmtAuditDeathTest, CatchesBrokenLruIndex) {
   DataMappingTable dmt = MakeBusyDmt();
   DmtTestPeer::DropLruEntry(dmt);
   EXPECT_DEATH(dmt.AuditInvariants(), "S4D_CHECK");
+}
+
+TEST(DmtAuditDeathTest, CatchesBrokenDirtySet) {
+  DataMappingTable dmt = MakeBusyDmt();
+  DmtTestPeer::DropDirtyEntry(dmt);
+  EXPECT_DEATH(dmt.AuditInvariants(), "missing from the dirty set");
+}
+
+TEST(DmtAuditDeathTest, CatchesDirtyFlagIndexMismatch) {
+  DataMappingTable dmt = MakeBusyDmt();
+  DmtTestPeer::FlipDirtyWithoutReindex(dmt);
+  EXPECT_DEATH(dmt.AuditInvariants(), "dirty set");
 }
 
 CacheSpaceAllocator MakeBusySpace() {
