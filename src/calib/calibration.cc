@@ -28,6 +28,33 @@ int KindIndex(device::IoKind kind) {
 
 }  // namespace
 
+Result<std::optional<CalibConfig>> ParseCalibConfig(const ConfigParser& config) {
+  if (!config.HasSection("calib") || !config.BoolOr("calib", "enable", true)) {
+    return std::optional<CalibConfig>();
+  }
+  CalibConfig cfg;
+  cfg.forget = config.DoubleOr("calib", "forget", cfg.forget);
+  cfg.min_samples = config.IntOr("calib", "min_samples", cfg.min_samples);
+  cfg.queue_gain = config.DoubleOr("calib", "queue_gain", cfg.queue_gain);
+  cfg.saturation_depth =
+      config.DoubleOr("calib", "saturation_depth", cfg.saturation_depth);
+  cfg.calibrate_dservers =
+      config.BoolOr("calib", "calibrate_dservers", cfg.calibrate_dservers);
+  cfg.calibrate_cservers =
+      config.BoolOr("calib", "calibrate_cservers", cfg.calibrate_cservers);
+  if (cfg.forget <= 0.0 || cfg.forget > 1.0) {
+    return Status::InvalidArgument("calib.forget must be in (0, 1]");
+  }
+  if (cfg.min_samples < 1) {
+    return Status::InvalidArgument("calib.min_samples must be >= 1");
+  }
+  if (cfg.queue_gain < 0.0 || cfg.saturation_depth < 0.0) {
+    return Status::InvalidArgument(
+        "calib.queue_gain and calib.saturation_depth must be >= 0");
+  }
+  return std::optional<CalibConfig>(cfg);
+}
+
 // ---------------------------------------------------------------------------
 // ServerFit
 

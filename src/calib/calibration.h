@@ -41,10 +41,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/config_parser.h"
 #include "common/sim_time.h"
+#include "common/status.h"
 #include "common/units.h"
 #include "core/cost_model.h"
 #include "device/device_model.h"
@@ -82,6 +85,20 @@ struct CalibConfig {
   bool calibrate_dservers = true;
   bool calibrate_cservers = true;
 };
+
+// Parses the [calib] section:
+//   enable             = true | false (default true)
+//   forget             = (0, 1]
+//   min_samples        = <count >= 1>
+//   queue_gain         = <>= 0>
+//   saturation_depth   = <mean CServer depth >= 0; 0 disables>
+//   calibrate_dservers = true | false
+//   calibrate_cservers = true | false
+// Returns nullopt when the config has no [calib] key or enable = false
+// (the static cost model, byte-identical to the paper default). Unknown
+// keys are rejected by the caller's schema validation; this function
+// rejects out-of-range values.
+Result<std::optional<CalibConfig>> ParseCalibConfig(const ConfigParser& config);
 
 struct CalibStats {
   std::int64_t samples = 0;           // ok sub-observations fitted

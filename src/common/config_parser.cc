@@ -79,6 +79,11 @@ bool ConfigParser::Has(const std::string& section,
   return values_.count(section + "." + key) > 0;
 }
 
+bool ConfigParser::HasSection(const std::string& section) const {
+  const auto it = values_.lower_bound(section + ".");
+  return it != values_.end() && it->first.rfind(section + ".", 0) == 0;
+}
+
 void ConfigParser::Set(const std::string& section, const std::string& key,
                        std::string value) {
   values_[section + "." + key] = std::move(value);

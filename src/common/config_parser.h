@@ -32,6 +32,8 @@ class ConfigParser {
   Status ParseFile(const std::string& path);
 
   bool Has(const std::string& section, const std::string& key) const;
+  // Whether any key of `section` is set.
+  bool HasSection(const std::string& section) const;
 
   // Sets/overrides a value programmatically.
   void Set(const std::string& section, const std::string& key,

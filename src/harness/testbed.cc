@@ -5,6 +5,18 @@
 namespace s4d::harness {
 
 Status ApplyClusterOverrides(const ConfigParser& config, TestbedConfig& bed) {
+  bed.dservers =
+      static_cast<int>(config.IntOr("cluster", "dservers", bed.dservers));
+  bed.cservers =
+      static_cast<int>(config.IntOr("cluster", "cservers", bed.cservers));
+  bed.stripe_size = config.SizeOr("cluster", "stripe", bed.stripe_size);
+  bed.track_content =
+      config.BoolOr("cluster", "verify_content", bed.track_content);
+  if (bed.dservers < 1 || bed.cservers < 1 || bed.stripe_size <= 0) {
+    return Status::InvalidArgument(
+        "cluster.dservers and cluster.cservers must be >= 1, "
+        "cluster.stripe > 0");
+  }
   device::HddProfile& hdd = bed.hdd;
   device::SsdProfile& ssd = bed.ssd;
   net::LinkProfile& link = bed.link;
@@ -26,6 +38,12 @@ Status ApplyClusterOverrides(const ConfigParser& config, TestbedConfig& bed) {
       config.DurationOr("cluster", "ssd_read_latency", ssd.read_latency);
   ssd.write_latency =
       config.DurationOr("cluster", "ssd_write_latency", ssd.write_latency);
+  // A P/E-cycle budget turns on WearFraction() (and with it the endurance
+  // veto's end-of-life gate).
+  ssd.pe_cycle_budget =
+      config.DoubleOr("cluster", "ssd_pe_cycles", ssd.pe_cycle_budget);
+  ssd.write_amplification =
+      config.DoubleOr("cluster", "ssd_write_amp", ssd.write_amplification);
   link.bandwidth_bps =
       config.DoubleOr("cluster", "link_bps", link.bandwidth_bps);
   link.message_latency =

@@ -41,11 +41,17 @@ struct TestbedConfig {
   int threads = 0;
 };
 
-// Applies schema-validated `cluster.*` overrides from an INI config onto
-// the testbed's device/link profiles, so experiments can model a different
-// cluster (faster disks, slower links) without recompiling. Only keys that
-// are present override; everything else keeps the paper's Table I/II
-// defaults. Key -> field:
+// Applies every `cluster.*` key of an INI config onto the testbed config:
+// the layout and content tracking, and the device/link profiles, so
+// experiments can model a different cluster (faster disks, slower links)
+// without recompiling. Only keys that are present override; everything
+// else keeps the paper's Table I/II defaults. Key -> field:
+//   dservers             -> dservers               (int >= 1)
+//   cservers             -> cservers               (int >= 1)
+//   stripe               -> stripe_size            (size > 0)
+//   verify_content       -> track_content          (bool)
+//   ssd_pe_cycles        -> ssd.pe_cycle_budget    (double)
+//   ssd_write_amp        -> ssd.write_amplification (double)
 //   hdd_transfer_bps     -> hdd.transfer_bps       (double, bytes/s)
 //   hdd_rpm              -> hdd.rpm                (double)
 //   hdd_avg_seek         -> hdd.average_seek       (duration)
@@ -59,7 +65,7 @@ struct TestbedConfig {
 //   ssd_write_latency    -> ssd.write_latency      (duration)
 //   link_bps             -> link.bandwidth_bps     (double, bytes/s)
 //   link_latency         -> link.message_latency   (duration)
-// Returns InvalidArgument on non-positive values; the CostModel derives
+// Returns InvalidArgument on out-of-range values; the CostModel derives
 // its T_D/T_C parameters from these profiles, so overrides flow into the
 // paper's Eqs. 1-8 automatically.
 Status ApplyClusterOverrides(const ConfigParser& config, TestbedConfig& bed);

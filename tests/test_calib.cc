@@ -13,6 +13,65 @@
 namespace s4d::calib {
 namespace {
 
+// --- ParseCalibConfig: the [calib] section --------------------------------
+
+Result<std::optional<CalibConfig>> ParseCalib(const std::string& text) {
+  ConfigParser config;
+  EXPECT_TRUE(config.Parse(text).ok());
+  return ParseCalibConfig(config);
+}
+
+TEST(ParseCalibConfig, AbsentOrDisabledSectionIsNone) {
+  const auto absent = ParseCalib("[workload]\nranks = 4\n");
+  ASSERT_TRUE(absent.ok());
+  EXPECT_FALSE(absent->has_value());
+  const auto disabled = ParseCalib("[calib]\nenable = false\nforget = 0.9\n");
+  ASSERT_TRUE(disabled.ok());
+  EXPECT_FALSE(disabled->has_value());
+}
+
+TEST(ParseCalibConfig, FullSectionParses) {
+  const auto parsed = ParseCalib(
+      "[calib]\nforget = 0.95\nmin_samples = 8\nqueue_gain = 0.5\n"
+      "saturation_depth = 12\ncalibrate_dservers = false\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed->has_value());
+  const CalibConfig& cfg = **parsed;
+  EXPECT_DOUBLE_EQ(cfg.forget, 0.95);
+  EXPECT_EQ(cfg.min_samples, 8);
+  EXPECT_DOUBLE_EQ(cfg.queue_gain, 0.5);
+  EXPECT_DOUBLE_EQ(cfg.saturation_depth, 12.0);
+  EXPECT_FALSE(cfg.calibrate_dservers);
+  EXPECT_TRUE(cfg.calibrate_cservers);
+}
+
+TEST(ParseCalibConfig, RejectsForgetOutsideUnitInterval) {
+  for (const char* forget : {"0", "1.5", "-0.1"}) {
+    const auto parsed =
+        ParseCalib(std::string("[calib]\nforget = ") + forget + "\n");
+    ASSERT_FALSE(parsed.ok()) << forget;
+    EXPECT_NE(parsed.status().ToString().find("calib.forget"),
+              std::string::npos);
+  }
+}
+
+TEST(ParseCalibConfig, RejectsMinSamplesBelowOne) {
+  const auto parsed = ParseCalib("[calib]\nmin_samples = 0\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().ToString().find("calib.min_samples"),
+            std::string::npos);
+}
+
+TEST(ParseCalibConfig, RejectsNegativeGainOrDepth) {
+  for (const char* line : {"queue_gain = -1", "saturation_depth = -2"}) {
+    const auto parsed =
+        ParseCalib(std::string("[calib]\n") + line + "\n");
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_NE(parsed.status().ToString().find("must be >= 0"),
+              std::string::npos);
+  }
+}
+
 // --- ServerFit: the per-(server,kind) forgetting least-squares core -------
 
 TEST(ServerFit, RecoversLinearModel) {

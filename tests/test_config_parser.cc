@@ -112,6 +112,17 @@ TEST(ConfigParser, DefaultsAndSet) {
   EXPECT_EQ(config.SizeOr("y", "new", 0), 64 * KiB);
 }
 
+TEST(ConfigParser, HasSectionMatchesWholeSectionNames) {
+  ConfigParser config;
+  ASSERT_TRUE(config.Parse("[calibration]\nk = 1\n[z]\nk = 2\n").ok());
+  EXPECT_TRUE(config.HasSection("calibration"));
+  EXPECT_TRUE(config.HasSection("z"));
+  EXPECT_FALSE(config.HasSection("calib"));
+  EXPECT_FALSE(config.HasSection("y"));
+  config.Set("calib", "enable", "true");
+  EXPECT_TRUE(config.HasSection("calib"));
+}
+
 TEST(ConfigParser, LaterKeysOverrideEarlier) {
   ConfigParser config;
   ASSERT_TRUE(config.Parse("[s]\nk = 1\nk = 2\n").ok());

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "harness/content_checker.h"
+#include "harness/driver.h"
 #include "harness/testbed.h"
 #include "tracein/loader.h"
 #include "tracein/replayer.h"
 #include "tracein/scaler.h"
+#include "workloads/ior.h"
 
 namespace s4d::tracein {
 namespace {
@@ -114,6 +116,29 @@ TEST(TraceLoaderReplay, TimestampedRowsSortButKeepLeadIn) {
   EXPECT_EQ(trace->records[0].arrival, 1000000);
   EXPECT_EQ(trace->records[0].offset, 0);
   EXPECT_EQ(trace->duration, 2000000);
+}
+
+TEST(TraceLoaderReplay, MalformedRowsNameTheLine) {
+  // Short row, bad kind, bad rank, zero size, negative offset.
+  for (const char* row : {"0,write,100\n", "0,chew,100,10\n",
+                          "x,write,100,10\n", "0,write,100,0\n",
+                          "0,write,-5,10\n"}) {
+    const auto bad = TraceLoader::Parse(row, TraceFormat::kReplay, "r");
+    ASSERT_FALSE(bad.ok()) << row;
+    EXPECT_NE(bad.status().ToString().find("r:1:"), std::string::npos)
+        << bad.status().ToString();
+  }
+  const auto third = TraceLoader::Parse(
+      "rank,kind,offset,size\n0,write,0,4096\n0,write,bad,4096\n",
+      TraceFormat::kReplay, "r");
+  ASSERT_FALSE(third.ok());
+  EXPECT_NE(third.status().ToString().find("r:3:"), std::string::npos)
+      << third.status().ToString();
+  // A header and blank lines alone are an empty trace, not an error.
+  const auto empty = TraceLoader::Parse("rank,kind,offset,size\n\n",
+                                        TraceFormat::kReplay, "r");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
 }
 
 TEST(TraceLoaderSniff, HeadersWinOverFieldCounts) {
@@ -495,6 +520,50 @@ TEST(TraceReplay, PullInterfaceMatchesPerRankOrder) {
   EXPECT_EQ(second->offset, 65536);
   wl.Reset();
   EXPECT_EQ(wl.Next(0)->offset, 0);
+}
+
+// Capture a live closed-loop run through the driver's issue hook, write it
+// as a timestamp-less replay CSV, and drive the reloaded trace closed-loop
+// on a fresh identical testbed (what workload.type = replay does): the
+// deterministic simulator must reproduce the captured run exactly.
+TEST(TraceReplay, CapturedRunReplaysIdentically) {
+  harness::Testbed bed{harness::TestbedConfig{}};
+  mpiio::MpiIoLayer layer(bed.engine(), bed.stock());
+  workloads::IorConfig ior;
+  ior.ranks = 4;
+  ior.file_size = 8 * MiB;
+  ior.request_size = 64 * KiB;
+  ior.random = true;
+  workloads::IorWorkload original(ior);
+
+  LoadedTrace captured;
+  harness::DriverOptions options;
+  options.on_issue = [&](int rank, const workloads::Request& request) {
+    captured.records.push_back(
+        {rank, request.kind, request.offset, request.size, 0});
+  };
+  const harness::RunResult original_result =
+      harness::RunClosedLoop(layer, original, options);
+  FinalizeTrace(captured);
+  ASSERT_EQ(static_cast<std::int64_t>(captured.records.size()),
+            original_result.requests);
+
+  const auto parsed = TraceLoader::Parse(TraceLoader::ToReplayCsv(captured),
+                                         TraceFormat::kReplay, "capture");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_FALSE(parsed->has_timestamps);
+  EXPECT_EQ(parsed->ranks, ior.ranks);
+  harness::Testbed bed2{harness::TestbedConfig{}};
+  mpiio::MpiIoLayer layer2(bed2.engine(), bed2.stock());
+  TraceReplayWorkload replay(*parsed, ior.file);
+  const harness::RunResult replay_result =
+      harness::RunClosedLoop(layer2, replay);
+
+  EXPECT_EQ(replay_result.requests, original_result.requests);
+  EXPECT_EQ(replay_result.bytes, original_result.bytes);
+  EXPECT_DOUBLE_EQ(replay_result.throughput_mbps,
+                   original_result.throughput_mbps)
+      << "deterministic simulator must reproduce the captured run exactly";
 }
 
 }  // namespace
