@@ -1,145 +1,118 @@
-#include "workloads/replay.h"
+// workload.type = replay end to end: harness::Scenario loads a replay CSV
+// (rank,kind,offset,size) through tracein's TraceLoader and drives it
+// closed-loop. Each rank must issue its rows in file order, every row
+// exactly once per pass, the run must be deterministic, and a missing or
+// malformed trace must fail Build instead of running an empty workload.
+#include <fstream>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "harness/driver.h"
-#include "harness/testbed.h"
-#include "trace/trace.h"
-#include "workloads/ior.h"
+#include "common/config_parser.h"
+#include "harness/scenario.h"
 
-namespace s4d::workloads {
+namespace s4d::harness {
 namespace {
 
-std::vector<ReplayEntry> SampleEntries() {
-  std::vector<ReplayEntry> entries;
-  entries.push_back({0, {device::IoKind::kWrite, 0, 16 * KiB}});
-  entries.push_back({1, {device::IoKind::kWrite, 1 * MiB, 4 * KiB}});
-  entries.push_back({0, {device::IoKind::kRead, 0, 16 * KiB}});
-  return entries;
+// Two ranks, interleaved rows; rank 1 reads back what rank 0 wrote.
+constexpr const char* kReplayCsv =
+    "rank,kind,offset,size\n"
+    "0,write,0,65536\n"
+    "1,write,1048576,4096\n"
+    "0,write,65536,65536\n"
+    "1,read,0,65536\n"
+    "0,read,1048576,4096\n"
+    "1,write,2097152,16384\n";
+
+std::string WriteTrace(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream(path) << text;
+  return path;
 }
 
-TEST(Replay, PreservesPerRankOrder) {
-  ReplayWorkload wl("f", SampleEntries());
-  EXPECT_EQ(wl.ranks(), 2);
-  EXPECT_EQ(wl.total_bytes(), 16 * KiB + 4 * KiB + 16 * KiB);
-
-  auto r0a = wl.Next(0);
-  ASSERT_TRUE(r0a.has_value());
-  EXPECT_EQ(r0a->kind, device::IoKind::kWrite);
-  auto r0b = wl.Next(0);
-  ASSERT_TRUE(r0b.has_value());
-  EXPECT_EQ(r0b->kind, device::IoKind::kRead);
-  EXPECT_FALSE(wl.Next(0).has_value());
-
-  auto r1 = wl.Next(1);
-  ASSERT_TRUE(r1.has_value());
-  EXPECT_EQ(r1->offset, 1 * MiB);
-  EXPECT_FALSE(wl.Next(1).has_value());
+ConfigParser ReplayConfig(const std::string& trace, int repeat) {
+  ConfigParser config;
+  config.Set("middleware", "cache_capacity", "16m");
+  config.Set("workload", "type", "replay");
+  config.Set("workload", "trace", trace);
+  config.Set("workload", "repeat", std::to_string(repeat));
+  return config;
 }
 
-TEST(Replay, ResetRestarts) {
-  ReplayWorkload wl("f", SampleEntries());
-  while (wl.Next(0)) {
-  }
-  wl.Reset();
-  EXPECT_TRUE(wl.Next(0).has_value());
+struct Issued {
+  device::IoKind kind;
+  byte_count offset;
+  byte_count size;
+  bool operator==(const Issued&) const = default;
+};
+
+TEST(ScenarioReplay, IssuesEachRanksRowsInFileOrderEveryPass) {
+  const std::string trace = WriteTrace("replay_order.csv", kReplayCsv);
+  auto scenario = Scenario::Build(ReplayConfig(trace, 2));
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  EXPECT_FALSE((*scenario)->warms_up());
+  EXPECT_EQ((*scenario)->timed_trace(), nullptr);
+
+  std::map<int, std::vector<Issued>> issued;
+  (*scenario)->set_on_issue([&](int rank, const workloads::Request& r) {
+    issued[rank].push_back({r.kind, r.offset, r.size});
+  });
+  int passes = 0;
+  const tracein::ReplayResult last = (*scenario)->Run(
+      [&](int pass, const tracein::ReplayResult& result) {
+        EXPECT_EQ(pass, ++passes);
+        EXPECT_EQ(result.run.requests, 6);
+        EXPECT_EQ(result.run.bytes, 2 * 65536 + 4096 + 65536 + 4096 + 16384);
+      });
+  EXPECT_EQ(passes, 2);
+  EXPECT_EQ(last.run.requests, 6);
+
+  const std::vector<Issued> rank0 = {{device::IoKind::kWrite, 0, 65536},
+                                     {device::IoKind::kWrite, 65536, 65536},
+                                     {device::IoKind::kRead, 1048576, 4096}};
+  const std::vector<Issued> rank1 = {
+      {device::IoKind::kWrite, 1048576, 4096},
+      {device::IoKind::kRead, 0, 65536},
+      {device::IoKind::kWrite, 2097152, 16384}};
+  std::vector<Issued> twice0 = rank0, twice1 = rank1;
+  twice0.insert(twice0.end(), rank0.begin(), rank0.end());
+  twice1.insert(twice1.end(), rank1.begin(), rank1.end());
+  ASSERT_EQ(issued.size(), 2u);
+  EXPECT_EQ(issued[0], twice0) << "each pass restarts the trace per rank";
+  EXPECT_EQ(issued[1], twice1);
 }
 
-TEST(Replay, CsvRoundTrip) {
-  const auto entries = SampleEntries();
-  const std::string csv = ReplayWorkload::ToCsv(entries);
-  const auto parsed = ReplayWorkload::ParseCsv(csv);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ((*parsed)[i].rank, entries[i].rank);
-    EXPECT_EQ((*parsed)[i].request.kind, entries[i].request.kind);
-    EXPECT_EQ((*parsed)[i].request.offset, entries[i].request.offset);
-    EXPECT_EQ((*parsed)[i].request.size, entries[i].request.size);
-  }
+TEST(ScenarioReplay, SameConfigReplaysIdentically) {
+  const std::string trace = WriteTrace("replay_repeat.csv", kReplayCsv);
+  const ConfigParser config = ReplayConfig(trace, 3);
+  auto first = Scenario::Build(config);
+  auto second = Scenario::Build(config);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const tracein::ReplayResult a = (*first)->Run();
+  const tracein::ReplayResult b = (*second)->Run();
+  EXPECT_EQ(a.run.requests, b.run.requests);
+  EXPECT_EQ(a.run.bytes, b.run.bytes);
+  EXPECT_DOUBLE_EQ(a.run.throughput_mbps, b.run.throughput_mbps);
+  EXPECT_EQ((*first)->measure_begin(), (*second)->measure_begin());
+  EXPECT_EQ((*first)->measure_end(), (*second)->measure_end());
+  EXPECT_GT((*first)->measure_end(), (*first)->measure_begin());
 }
 
-TEST(Replay, CsvRejectsMalformedRows) {
-  EXPECT_FALSE(ReplayWorkload::ParseCsv("0,write,100\n").ok());
-  EXPECT_FALSE(ReplayWorkload::ParseCsv("0,chew,100,10\n").ok());
-  EXPECT_FALSE(ReplayWorkload::ParseCsv("x,write,100,10\n").ok());
-  EXPECT_FALSE(ReplayWorkload::ParseCsv("0,write,100,0\n").ok());
-  EXPECT_FALSE(ReplayWorkload::ParseCsv("0,write,-5,10\n").ok());
-  // Header and empty lines are fine.
-  const auto ok = ReplayWorkload::ParseCsv("rank,kind,offset,size\n\n");
-  ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(ok->empty());
-}
+TEST(ScenarioReplay, MissingOrMalformedTraceFailsBuild) {
+  const auto missing = Scenario::Build(
+      ReplayConfig(::testing::TempDir() + "no_such_replay.csv", 1));
+  EXPECT_FALSE(missing.ok());
 
-// ParseCsv routes through the tracein loader: errors carry the 1-based
-// line number of the first malformed row.
-TEST(Replay, CsvErrorsNameTheLine) {
-  const auto r =
-      ReplayWorkload::ParseCsv("rank,kind,offset,size\n"
-                               "0,write,0,4096\n"
-                               "0,write,bad,4096\n");
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().ToString().find(":3:"), std::string::npos)
-      << r.status().ToString();
-}
-
-// The optional fifth arrival_ns column is accepted; this workload is
-// timestamp-blind, so the arrivals are simply dropped (timed replay is
-// tracein::TraceReplayWorkload's job).
-TEST(Replay, CsvAcceptsOptionalArrivalColumn) {
-  const auto parsed =
-      ReplayWorkload::ParseCsv("rank,kind,offset,size,arrival_ns\n"
-                               "0,write,0,16384,0\n"
-                               "0,read,0,16384,2000000\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ((*parsed)[0].request.kind, device::IoKind::kWrite);
-  EXPECT_EQ((*parsed)[1].request.kind, device::IoKind::kRead);
-  // A mixed file (arrival on some rows only) is malformed.
-  EXPECT_FALSE(ReplayWorkload::ParseCsv("0,write,0,16384,0\n"
-                                        "0,read,0,16384\n")
-                   .ok());
-}
-
-// Capture a live run via the driver hook, replay it, and verify the replay
-// reproduces the original run's request stream exactly (deterministic sim:
-// same throughput too).
-TEST(Replay, CapturedRunReplaysIdentically) {
-  harness::Testbed bed{harness::TestbedConfig{}};
-  mpiio::MpiIoLayer layer(bed.engine(), bed.stock());
-
-  IorConfig ior;
-  ior.ranks = 4;
-  ior.file_size = 8 * MiB;
-  ior.request_size = 64 * KiB;
-  ior.random = true;
-  IorWorkload original(ior);
-
-  std::vector<ReplayEntry> captured;
-  harness::DriverOptions options;
-  options.on_issue = [&](int rank, const Request& request) {
-    captured.push_back({rank, request});
-  };
-  const auto original_result =
-      harness::RunClosedLoop(layer, original, options);
-  ASSERT_EQ(static_cast<std::int64_t>(captured.size()),
-            original_result.requests);
-
-  // Round-trip through CSV, then replay on a fresh identical testbed.
-  const auto parsed =
-      ReplayWorkload::ParseCsv(ReplayWorkload::ToCsv(captured));
-  ASSERT_TRUE(parsed.ok());
-  harness::Testbed bed2{harness::TestbedConfig{}};
-  mpiio::MpiIoLayer layer2(bed2.engine(), bed2.stock());
-  ReplayWorkload replay(ior.file, *parsed);
-  const auto replay_result = harness::RunClosedLoop(layer2, replay);
-
-  EXPECT_EQ(replay_result.requests, original_result.requests);
-  EXPECT_EQ(replay_result.bytes, original_result.bytes);
-  EXPECT_DOUBLE_EQ(replay_result.throughput_mbps,
-                   original_result.throughput_mbps)
-      << "deterministic simulator must reproduce the captured run exactly";
+  const std::string bad =
+      WriteTrace("replay_bad.csv", "rank,kind,offset,size\n0,chew,0,4096\n");
+  const auto malformed = Scenario::Build(ReplayConfig(bad, 1));
+  ASSERT_FALSE(malformed.ok());
+  EXPECT_NE(malformed.status().ToString().find(":2:"), std::string::npos)
+      << malformed.status().ToString();
 }
 
 }  // namespace
-}  // namespace s4d::workloads
+}  // namespace s4d::harness
