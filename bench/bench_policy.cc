@@ -1,19 +1,20 @@
-// Policy-subsystem ablation grid (beyond the paper's tables):
+// Admission-policy bench (beyond the paper's tables): paper-default vs
+// the adaptive admission controller (EWMA feedback threshold plus the
+// LBICA-style pressure veto), built from `[policy] mode = adaptive,
+// pressure_max_queue = 256` through ParsePolicyConfig — the path s4dsim
+// takes.
 //
 // 1. Guardrails: the paper's fig6-style IOR write mix and fig7-style warm
-//    re-read, run under every eviction policy and under the adaptive
-//    engine. The policy layer must never cost more than a few percent on
+//    re-read. The controller must never cost more than a few percent on
 //    the workloads the paper's defaults already handle well.
-// 2. Mixed-phase workload (alternating sequential 1 MiB and random 16 KiB
-//    phases against a tight cache): the regime the adaptive engine is for —
-//    the characterizer detects each phase flip and re-selects eviction and
-//    destage order, and the feedback admission threshold sheds marginal
+// 2. Mixed-phase workload (alternating sequential 1 MiB and strided 256 KiB
+//    phases against a tight cache): the feedback threshold sheds marginal
 //    admissions that the per-request cost model over-promises on.
 // 3. Strided saturation (HPIO, interleaved regions): every rank's stream
 //    distance is ranks * region_size, so the per-request cost model scores
 //    all of it critical and the paper's rule funnels the full 32-rank load
 //    into 4 CServers — while the *global* pattern is sequential and the
-//    8-server HDD array could absorb it at streaming speed. The adaptive
+//    8-server HDD array could absorb it at streaming speed. The
 //    controller's EWMA sees the realized gain collapse under CServer
 //    queueing and raises the threshold until the overflow spills to the
 //    DServers (LBICA's argument); the fixed threshold cannot.
@@ -21,6 +22,7 @@
 
 #include <memory>
 
+#include "common/check.h"
 #include "common/table_printer.h"
 #include "policy/policy_engine.h"
 #include "workloads/hpio.h"
@@ -28,27 +30,13 @@
 namespace s4d::bench {
 namespace {
 
-enum class Variant {
-  kPaperDefault,
-  kFixedLru,
-  kFixedArc,
-  kFixedSelectiveLru,
-  kAdaptive,
-};
+enum class Variant { kPaperDefault, kAdaptive };
 
-constexpr Variant kAllVariants[] = {
-    Variant::kPaperDefault, Variant::kFixedLru, Variant::kFixedArc,
-    Variant::kFixedSelectiveLru, Variant::kAdaptive};
+constexpr Variant kAllVariants[] = {Variant::kPaperDefault,
+                                    Variant::kAdaptive};
 
 const char* VariantName(Variant v) {
-  switch (v) {
-    case Variant::kPaperDefault: return "paper-default";
-    case Variant::kFixedLru: return "fixed/lru";
-    case Variant::kFixedArc: return "fixed/arc";
-    case Variant::kFixedSelectiveLru: return "fixed/selective-lru";
-    case Variant::kAdaptive: return "adaptive";
-  }
-  return "?";
+  return v == Variant::kAdaptive ? "adaptive" : "paper-default";
 }
 
 // Builds and attaches the policy engine for a variant (null for the
@@ -56,29 +44,15 @@ const char* VariantName(Variant v) {
 std::unique_ptr<policy::PolicyEngine> MakeEngine(Variant v,
                                                  core::S4DCache& s4d) {
   if (v == Variant::kPaperDefault) return nullptr;
-  policy::PolicyConfig pc;
-  pc.mode = v == Variant::kAdaptive ? policy::PolicyMode::kAdaptive
-                                    : policy::PolicyMode::kFixed;
-  switch (v) {
-    case Variant::kFixedArc: pc.eviction = policy::EvictionKind::kArc; break;
-    case Variant::kFixedSelectiveLru:
-      pc.eviction = policy::EvictionKind::kSelectiveLru;
-      break;
-    default: pc.eviction = policy::EvictionKind::kLru; break;
-  }
-  if (v == Variant::kAdaptive) {
-    pc.admission.feedback = true;
-    // Raise the threshold only once the cache path is *slower* than the
-    // solo-request DServer estimate (EWMA < 0): measured latency includes
-    // queueing that the prediction does not, so a positive-but-small gain
-    // is normal under healthy load and must not shed admissions.
-    pc.admission.low_gain = 0.0;
-    pc.admission.high_gain = 0.5;
-    // Veto only on genuine saturation: with 32 closed-loop ranks over 4
-    // CServers the healthy mean depth is ~8, so the bound sits well above.
-    pc.admission.pressure_max_queue = 256.0;
-  }
-  auto engine = std::make_unique<policy::PolicyEngine>(pc);
+  // Veto only on genuine saturation: with 32 closed-loop ranks over 4
+  // CServers the healthy mean depth is ~8, so the bound sits well above.
+  ConfigParser config;
+  S4D_CHECK(config.Parse("[policy]\nmode = adaptive\n"
+                         "pressure_max_queue = 256\n")
+                .ok());
+  auto pc = policy::ParsePolicyConfig(config);
+  S4D_CHECK(pc.ok()) << pc.status().ToString();
+  auto engine = std::make_unique<policy::PolicyEngine>(*pc);
   engine->Attach(s4d);
   return engine;
 }
@@ -87,13 +61,32 @@ void PrintEngineLine(const policy::PolicyEngine* engine) {
   if (!engine) return;
   const auto& st = engine->admission().stats();
   std::printf(
-      "    [admits %lld (%lld ghost), threshold rejects %lld, "
-      "pressure vetoes %lld, switches %lld]\n",
+      "    [admits %lld, threshold rejects %lld, pressure vetoes %lld, "
+      "threshold raises %lld]\n",
       static_cast<long long>(st.admits),
-      static_cast<long long>(st.ghost_admits),
       static_cast<long long>(st.threshold_rejects),
       static_cast<long long>(st.pressure_vetoes),
-      static_cast<long long>(engine->stats().policy_switches));
+      static_cast<long long>(st.threshold_raises));
+}
+
+// Runs both variants through `run`, prints their MB/s side by side and
+// records each under `workload`.
+template <typename RunFn>
+void CompareVariants(BenchReporter& report, const char* workload,
+                     const RunFn& run) {
+  TablePrinter table({"policy", "MB/s", "vs paper-default"});
+  double base = 0.0;
+  for (Variant v : kAllVariants) {
+    const double mbps = run(v);
+    if (v == Variant::kPaperDefault) base = mbps;
+    table.AddRow({VariantName(v), TablePrinter::Num(mbps),
+                  v == Variant::kPaperDefault
+                      ? "--"
+                      : TablePrinter::Percent((mbps / base - 1.0) * 100.0)});
+    report.Add("throughput_mbps", mbps,
+               {{"workload", workload}, {"policy", VariantName(v)}});
+  }
+  table.Print(std::cout);
 }
 
 // --- 1. Guardrails: the paper's own workloads must not regress -------------
@@ -145,7 +138,7 @@ double RunWarmRead(const BenchArgs& args, byte_count file_size, int ranks,
 }
 
 void Guardrails(const BenchArgs& args, BenchReporter& report) {
-  std::printf("--- 1. Guardrails: paper workloads under every policy ---\n");
+  std::printf("--- 1. Guardrails: paper workloads under both policies ---\n");
   const byte_count mix_size = args.full ? 2 * GiB : 64 * MiB;
   const byte_count read_size = args.full ? 1 * GiB : 48 * MiB;
   const int ranks = args.full ? 32 : 16;
@@ -157,24 +150,14 @@ void Guardrails(const BenchArgs& args, BenchReporter& report) {
   };
   for (const Cell& cell : {Cell{"ior-mix-write", RunWriteMix, mix_size},
                            Cell{"warm-read", RunWarmRead, read_size}}) {
-    TablePrinter table({"policy", "MB/s", "vs paper"});
-    double base = 0.0;
-    for (Variant v : kAllVariants) {
-      const double mbps = cell.run(args, cell.file_size, ranks, v);
-      if (v == Variant::kPaperDefault) base = mbps;
-      table.AddRow({VariantName(v), TablePrinter::Num(mbps),
-                    v == Variant::kPaperDefault
-                        ? "--"
-                        : TablePrinter::Percent((mbps / base - 1.0) * 100.0)});
-      report.Add("throughput_mbps", mbps,
-                 {{"workload", cell.workload}, {"policy", VariantName(v)}});
-    }
     std::printf("  %s:\n", cell.workload);
-    table.Print(std::cout);
+    CompareVariants(report, cell.workload, [&](Variant v) {
+      return cell.run(args, cell.file_size, ranks, v);
+    });
   }
   std::printf(
-      "\nexpected: every variant within a few percent of paper-default —\n"
-      "the policy layer must not tax the workloads the paper already wins.\n\n");
+      "\nexpected: adaptive within a few percent of paper-default — the\n"
+      "policy layer must not tax the workloads the paper already wins.\n\n");
 }
 
 // --- 2. Mixed-phase: streaming and strided phases alternate ----------------
@@ -188,8 +171,8 @@ double RunMixedPhase(const BenchArgs& args, std::int64_t regions, int ranks,
       static_cast<byte_count>(regions) * ranks * (256 * KiB);
   core::S4DConfig cfg;
   // Tight cache: the strided working set does not fit, so each strided
-  // phase re-requests ranges the previous one evicted — ghost-list
-  // territory — while the saturation story plays out on the CServer queues.
+  // phase re-requests ranges the previous one evicted, while the
+  // saturation story plays out on the CServer queues.
   cfg.cache_capacity = strided_bytes / 2;
   auto s4d = bed.MakeS4D(cfg);
   auto engine = MakeEngine(v, *s4d);
@@ -233,22 +216,10 @@ void MixedPhase(const BenchArgs& args, BenchReporter& report) {
       "--- 2. Mixed-phase workload (seq 1M / strided 256K, tight cache) ---\n");
   const std::int64_t regions = args.full ? 256 : 48;
   const int ranks = 32;
-  TablePrinter table({"policy", "MB/s", "vs fixed/lru"});
-  double fixed = 0.0, adaptive = 0.0;
-  for (Variant v : kAllVariants) {
-    const double mbps = RunMixedPhase(args, regions, ranks, v);
-    if (v == Variant::kFixedLru) fixed = mbps;
-    if (v == Variant::kAdaptive) adaptive = mbps;
-    table.AddRow({VariantName(v), TablePrinter::Num(mbps),
-                  v == Variant::kFixedLru || fixed == 0.0
-                      ? "--"
-                      : TablePrinter::Percent((mbps / fixed - 1.0) * 100.0)});
-    report.Add("throughput_mbps", mbps,
-               {{"workload", "mixed-phase"}, {"policy", VariantName(v)}});
-  }
-  table.Print(std::cout);
-  std::printf("adaptive vs fixed threshold: %+.1f%%\n\n",
-              (adaptive / fixed - 1.0) * 100.0);
+  CompareVariants(report, "mixed-phase", [&](Variant v) {
+    return RunMixedPhase(args, regions, ranks, v);
+  });
+  std::printf("\n");
 }
 
 // --- 3. Strided saturation: model-critical but globally sequential ---------
@@ -283,35 +254,21 @@ void StridedSaturation(const BenchArgs& args, BenchReporter& report) {
       "--- 3. Strided saturation (HPIO interleaved, 256K regions) ---\n");
   const std::int64_t regions = args.full ? 512 : 96;
   const int ranks = 32;
-  TablePrinter table({"policy", "MB/s", "vs fixed/lru"});
-  double fixed = 0.0, adaptive = 0.0;
-  for (Variant v :
-       {Variant::kPaperDefault, Variant::kFixedLru, Variant::kAdaptive}) {
-    const double mbps = RunStrided(args, regions, ranks, v);
-    if (v == Variant::kFixedLru) fixed = mbps;
-    if (v == Variant::kAdaptive) adaptive = mbps;
-    table.AddRow({VariantName(v), TablePrinter::Num(mbps),
-                  v == Variant::kFixedLru || fixed == 0.0
-                      ? "--"
-                      : TablePrinter::Percent((mbps / fixed - 1.0) * 100.0)});
-    report.Add("throughput_mbps", mbps,
-               {{"workload", "hpio-strided"}, {"policy", VariantName(v)}});
-  }
-  table.Print(std::cout);
+  CompareVariants(report, "hpio-strided", [&](Variant v) {
+    return RunStrided(args, regions, ranks, v);
+  });
   std::printf(
-      "adaptive vs fixed threshold: %+.1f%%\n"
       "the per-rank stream distance (ranks * region_size) makes the cost\n"
       "model admit everything; the feedback threshold spills the overflow\n"
-      "to the 8 DServers, which see the globally sequential pattern.\n",
-      (adaptive / fixed - 1.0) * 100.0);
+      "to the 8 DServers, which see the globally sequential pattern.\n");
 }
 
 int Main(int argc, char** argv) {
   const BenchArgs args = ParseArgs(argc, argv);
   BenchReporter report("policy", args);
-  std::printf("=== Policy subsystem: guardrails + adaptive ablation ===\n");
-  report.Scale("5-variant grid over write mix, warm read, mixed-phase, "
-               "strided saturation");
+  std::printf("=== Policy subsystem: paper-default vs adaptive ===\n");
+  report.Scale("paper-default vs adaptive over write mix, warm read, "
+               "mixed-phase, strided saturation");
   Guardrails(args, report);
   MixedPhase(args, report);
   StridedSaturation(args, report);

@@ -157,7 +157,6 @@ void CalibrationEngine::Attach(core::S4DCache& cache,
   }
   cache.SetCostCalibration(this);
   cache.SetQueuePressureProbe([this] { return MeanCServerDepth(); });
-  cache.SetQueueDelayProbe([this] { return CServerQueueDelayEstimate(); });
   if (config_.saturation_depth > 0.0) {
     cache.redirector().SetSaturationProbe(
         [this] { return CacheTierSaturated(); });
@@ -288,29 +287,6 @@ double CalibrationEngine::MeanCServerDepth() const {
   std::int64_t total = 0;
   for (std::int32_t d : depths) total += d;
   return static_cast<double>(total) / static_cast<double>(depths.size());
-}
-
-SimTime CalibrationEngine::CServerQueueDelayEstimate() const {
-  if (cservers_.fs == nullptr) return 0;
-  const std::vector<std::int32_t>& depths = cservers_.fs->sub_depths();
-  double worst = 0.0;
-  for (int s = 0; s < params_.ssd_servers; ++s) {
-    double unit = 0.0;
-    int cells = 0;
-    for (device::IoKind kind :
-         {device::IoKind::kRead, device::IoKind::kWrite}) {
-      const ServerFit& fit = Cell(cservers_, true, s, kind);
-      if (!fit.Ready(config_.min_samples)) continue;
-      unit += fit.Solve(0.0).queue_ns;
-      ++cells;
-    }
-    if (cells == 0) continue;
-    unit /= cells;
-    const double delay =
-        unit * static_cast<double>(depths[static_cast<std::size_t>(s)]);
-    worst = std::max(worst, delay);
-  }
-  return static_cast<SimTime>(std::llround(worst));
 }
 
 bool CalibrationEngine::CacheTierSaturated() {

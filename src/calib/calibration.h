@@ -77,8 +77,8 @@ struct CalibConfig {
   // disables queue awareness while keeping the fitted a/b.
   double queue_gain = 1.0;
   // Mean outstanding sub-requests per CServer beyond which the cache tier
-  // is reported saturated (Redirector load-shedding + the policy veto's
-  // delay probe). 0 disables the saturation signal.
+  // is reported saturated (Redirector load-shedding). 0 disables the
+  // saturation signal.
   double saturation_depth = 0.0;
   // Which tiers are calibrated. Disabling one leaves that tier's estimate
   // fully static.
@@ -183,9 +183,6 @@ class CalibrationEngine final : public core::CostCalibration,
   // Mean outstanding sub-requests per CServer (client-side counters). Backs
   // S4DCache::CacheTierMeanQueueDepth when attached.
   double MeanCServerDepth() const;
-  // Fitted mean queue delay across the cache tier: mean depth × mean fitted
-  // queue unit. Backs the policy admission veto's delay probe.
-  SimTime CServerQueueDelayEstimate() const;
   // Saturation signal for the Redirector (bounded by
   // `saturation_depth`; always false when unbounded).
   bool CacheTierSaturated();

@@ -195,28 +195,50 @@ std::string ConfigParser::StringOr(const std::string& section,
                                    std::string fallback) const {
   return GetString(section, key).value_or(std::move(fallback));
 }
+
+template <typename T>
+T ConfigParser::ValueOr(const std::string& section, const std::string& key,
+                        std::optional<T> parsed, T fallback,
+                        const char* type) const {
+  if (parsed) return *parsed;
+  if (typed_error_.empty()) {
+    if (const auto raw = GetString(section, key)) {
+      typed_error_ = section + "." + key + ": '" + *raw + "' is not " + type;
+    }
+  }
+  return fallback;
+}
+
+Status ConfigParser::typed_error() const {
+  return typed_error_.empty() ? Status::Ok()
+                              : Status::InvalidArgument(typed_error_);
+}
+
 std::int64_t ConfigParser::IntOr(const std::string& section,
                                  const std::string& key,
                                  std::int64_t fallback) const {
-  return GetInt(section, key).value_or(fallback);
+  return ValueOr(section, key, GetInt(section, key), fallback, "an integer");
 }
 double ConfigParser::DoubleOr(const std::string& section,
                               const std::string& key, double fallback) const {
-  return GetDouble(section, key).value_or(fallback);
+  return ValueOr(section, key, GetDouble(section, key), fallback, "a number");
 }
 bool ConfigParser::BoolOr(const std::string& section, const std::string& key,
                           bool fallback) const {
-  return GetBool(section, key).value_or(fallback);
+  return ValueOr(section, key, GetBool(section, key), fallback,
+                 "a boolean (true/false, yes/no, on/off, 1/0)");
 }
 byte_count ConfigParser::SizeOr(const std::string& section,
                                 const std::string& key,
                                 byte_count fallback) const {
-  return GetSize(section, key).value_or(fallback);
+  return ValueOr(section, key, GetSize(section, key), fallback,
+                 "a size (bytes, or a k/m/g suffix)");
 }
 SimTime ConfigParser::DurationOr(const std::string& section,
                                  const std::string& key,
                                  SimTime fallback) const {
-  return GetDuration(section, key).value_or(fallback);
+  return ValueOr(section, key, GetDuration(section, key), fallback,
+                 "a duration (ns/us/ms/s suffix; bare = ns)");
 }
 
 Status ConfigParser::ValidateKnownKeys(

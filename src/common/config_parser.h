@@ -54,7 +54,9 @@ class ConfigParser {
   std::optional<SimTime> GetDuration(const std::string& section,
                                      const std::string& key) const;
 
-  // Convenience with-default variants.
+  // Convenience with-default variants. A key that is absent yields the
+  // fallback; a key that is present but does not parse also yields it, and
+  // the first such read is recorded (see typed_error()).
   std::string StringOr(const std::string& section, const std::string& key,
                        std::string fallback) const;
   std::int64_t IntOr(const std::string& section, const std::string& key,
@@ -67,6 +69,12 @@ class ConfigParser {
                     byte_count fallback) const;
   SimTime DurationOr(const std::string& section, const std::string& key,
                      SimTime fallback) const;
+
+  // InvalidArgument naming the key and raw value of the first present but
+  // malformed value an *Or getter read ("ranks = 4x", "random = ture");
+  // Ok while every typed read parsed. Callers that take their settings
+  // through the *Or getters check this once they are done reading.
+  Status typed_error() const;
 
   std::size_t entry_count() const { return values_.size(); }
 
@@ -82,8 +90,17 @@ class ConfigParser {
       const std::map<std::string, std::vector<std::string>>& schema) const;
 
  private:
+  // Returns `parsed`'s value, or `fallback` after recording a present
+  // value that failed to parse as `type`.
+  template <typename T>
+  T ValueOr(const std::string& section, const std::string& key,
+            std::optional<T> parsed, T fallback, const char* type) const;
+
   // key = "section.key" (section may be empty for top-level entries)
   std::map<std::string, std::string> values_;
+  // First malformed typed read; empty = none. Getters are const, so it is
+  // mutable; each parser is read by one thread at a time.
+  mutable std::string typed_error_;
 };
 
 }  // namespace s4d

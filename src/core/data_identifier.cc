@@ -85,15 +85,11 @@ bool DataIdentifier::Identify(const std::string& file, int rank,
     // Would have been admitted against the healthy profile.
     ++stats_.health_rejections;
   }
-  // Policy subsystem hook: the admission filter sees every request (with
-  // the model's post-health verdict) and may override it — ghost-assisted
-  // admission raises it, feedback thresholds or pressure vetoes lower it.
+  // Policy/tenant subsystem hook: the admission filter sees every request
+  // (with the model's post-health verdict) and may override it — feedback
+  // thresholds, pressure and endurance vetoes lower it.
   if (admission_filter_) {
-    const AdmissionContext ctx{file,          rank,
-                               kind,          offset,
-                               size,          distance,
-                               last_benefit_, last_dserver_cost_,
-                               last_cserver_cost_, critical};
+    const AdmissionContext ctx{rank, size, last_benefit_, critical};
     critical = admission_filter_(ctx);
   }
   if (critical) {

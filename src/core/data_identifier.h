@@ -27,19 +27,13 @@
 
 namespace s4d::core {
 
-// Everything the Identifier knows about a request at decision time; handed
-// to the pluggable admission filter (policy subsystem). `model_critical` is
-// the paper's verdict (B > 0) after the health veto.
+// What the admission filters (policy and tenant subsystems) read about a
+// request at decision time. `model_critical` is the paper's verdict
+// (B > 0) after the health veto.
 struct AdmissionContext {
-  const std::string& file;
   int rank;  // issuing MPI rank (tenant attribution)
-  device::IoKind kind;
-  byte_count offset;
   byte_count size;
-  byte_count distance;  // signed stream distance d
-  SimTime benefit;      // health-scaled B
-  SimTime dserver_cost;  // model's T_D at decision time
-  SimTime cserver_cost;  // model's health-scaled T_C at decision time
+  SimTime benefit;  // health-scaled B
   bool model_critical;
 };
 

@@ -384,71 +384,6 @@ std::optional<RemovedExtent> DataMappingTable::EvictLruCleanIf(
   return std::nullopt;
 }
 
-std::optional<RemovedExtent> DataMappingTable::EvictCleanOverlapping(
-    const std::string& file, byte_count begin, byte_count end) {
-  if (begin >= end) return std::nullopt;
-  auto idx_it = file_index_.find(file);
-  if (idx_it == file_index_.end()) return std::nullopt;
-  const std::uint32_t file_index = idx_it->second;
-  FileMap& map = files_[file_index];
-  auto it = map.upper_bound(begin);
-  if (it != map.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end > begin) it = prev;
-  }
-  for (; it != map.end() && it->first < end; ++it) {
-    if (it->second.dirty) continue;
-    InvalidateHint();
-    RemovedExtent ext;
-    ext.file = file;
-    ext.orig_begin = it->first;
-    ext.orig_end = it->second.end;
-    ext.cache_offset = it->second.cache_offset;
-    ext.dirty = false;
-
-    mapped_bytes_ -= ext.length();
-    clean_lru_.erase(it->second.lru_seq);
-    ErasePersisted(file_index, it->first);
-    map.erase(it);
-    MaybeAudit();
-    return ext;
-  }
-  return std::nullopt;
-}
-
-std::vector<DirtyRange> DataMappingTable::CollectDirty(
-    std::size_t max_ranges) const {
-  // The max_ranges least recently used dirty entries; stamps are unique, so
-  // the order is total.
-  struct Ref {
-    const DirtyKey* key;
-    const Entry* entry;
-  };
-  std::vector<Ref> refs;
-  refs.reserve(dirty_.size());
-  DirtyWalk walk(*this);
-  for (const DirtyKey& key : dirty_) refs.push_back(Ref{&key, &walk(key)});
-  const std::size_t n = std::min(max_ranges, refs.size());
-  std::partial_sort(refs.begin(), refs.begin() + static_cast<std::ptrdiff_t>(n),
-                    refs.end(), [](const Ref& a, const Ref& b) {
-                      return a.entry->lru_seq < b.entry->lru_seq;
-                    });
-  std::vector<DirtyRange> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const DirtyKey& key = *refs[i].key;
-    const Entry& entry = *refs[i].entry;
-    DirtyRange range;
-    range.file = file_names_[key.first];
-    range.orig_begin = key.second;
-    range.orig_end = entry.end;
-    range.cache_offset = entry.cache_offset;
-    range.version = entry.version;
-    out.push_back(std::move(range));
-  }
-  return out;
-}
-
 std::vector<DirtyRun> DataMappingTable::CollectDirtyRuns(
     byte_count max_total_bytes, byte_count max_run_bytes) const {
   std::vector<DirtyRun> runs;

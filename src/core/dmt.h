@@ -129,20 +129,6 @@ class DataMappingTable {
   std::optional<RemovedExtent> EvictLruCleanIf(
       const std::function<bool(const RemovedExtent&)>& pred);
 
-  // Removes and returns the first *clean* mapping overlapping
-  // [begin, end) of `file` (the whole mapping, not clipped to the range),
-  // or nullopt when no clean mapping overlaps. Lets an external eviction
-  // policy nominate a victim range and have it validated against the live
-  // table in one step.
-  std::optional<RemovedExtent> EvictCleanOverlapping(const std::string& file,
-                                                     byte_count begin,
-                                                     byte_count end);
-
-  // Snapshots up to `max_ranges` dirty extents (least recently used first).
-  // O(dirty log n): the dirty set is file-ordered, so it is sorted by
-  // recency here.
-  std::vector<DirtyRange> CollectDirty(std::size_t max_ranges) const;
-
   // Snapshots dirty extents in file order, coalescing extents adjacent in
   // the original file into runs of at most `max_run_bytes`, until about
   // `max_total_bytes` have been collected. Walks only the dirty set, so a
@@ -209,7 +195,7 @@ class DataMappingTable {
     std::uint64_t version = 0;
     // Recency stamp, unique per entry. Keys the clean index; a dirty entry
     // keeps its stamp so it re-enters that index at its recency when
-    // cleaned, and CollectDirty orders by it.
+    // cleaned.
     std::uint64_t lru_seq = 0;
     // When the extent last transitioned clean→dirty (0 = no clock or
     // clean). In-memory only — never persisted. Splits copy the Entry, so

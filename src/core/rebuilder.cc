@@ -123,29 +123,8 @@ void Rebuilder::AbortFlushRun(const std::shared_ptr<FlushRun>& state) {
 }
 
 void Rebuilder::FlushDirty() {
-  std::vector<DirtyRun> runs;
-  if (flush_order_ == FlushOrder::kLruFirst) {
-    // LRU-first destage: one single-extent run per dirty range, oldest
-    // recency first, capped at the same per-tick byte budget. The run
-    // machinery below (busy-skip, watchdog, version-checked clean) is
-    // shared with the coalesced order.
-    byte_count total = 0;
-    for (DirtyRange& range :
-         dmt_.CollectDirty(config_.fetch_batch_ranges * 4)) {
-      const byte_count len = range.orig_end - range.orig_begin;
-      if (total + len > config_.flush_batch_bytes && total > 0) break;
-      total += len;
-      DirtyRun run;
-      run.file = range.file;
-      run.orig_begin = range.orig_begin;
-      run.orig_end = range.orig_end;
-      run.segments.push_back(std::move(range));
-      runs.push_back(std::move(run));
-    }
-  } else {
-    runs = dmt_.CollectDirtyRuns(config_.flush_batch_bytes,
-                                 config_.flush_run_bytes);
-  }
+  const std::vector<DirtyRun> runs = dmt_.CollectDirtyRuns(
+      config_.flush_batch_bytes, config_.flush_run_bytes);
   for (const DirtyRun& run : runs) {
     // Skip a run if any of its extents is already being flushed.
     bool busy = false;

@@ -37,8 +37,8 @@ void Redirector::Release(const RemovedExtent& extent, bool evicted) {
 
 std::optional<byte_count> Redirector::AllocateCacheSpace(byte_count size) {
   // Algorithm 1: first look for free space (line 4); if none, reclaim clean
-  // space chosen by the eviction policy (line 9; clean-LRU unless a policy
-  // hook is installed) until the allocation fits or nothing clean remains.
+  // space chosen by the eviction policy (line 9; clean-LRU unless a victim
+  // provider is installed) until the allocation fits or nothing clean remains.
   // The tenant gate can veto free-space allocation for an over-allowance
   // tenant; the loop then reclaims via the victim provider (which the
   // tenant subsystem restricts to the offender's own partition, so each

@@ -130,7 +130,7 @@ class Redirector {
         policy_(policy),
         on_release_(std::move(on_release)) {}
 
-  // --- pluggable eviction (policy subsystem) ----------------------------
+  // --- pluggable eviction (tenant subsystem) ----------------------------
   // `provider` replaces the hard-wired clean-LRU victim selection in the
   // allocation loop: it must remove and return one clean mapping from the
   // DMT (or nullopt when none remains). `observer` fires whenever a
@@ -144,9 +144,6 @@ class Redirector {
     victim_provider_ = std::move(provider);
     removal_observer_ = std::move(observer);
   }
-  // Installed hooks, exposed so a later subsystem (tenancy) can wrap them.
-  const VictimProvider& victim_provider() const { return victim_provider_; }
-  const RemovalObserver& removal_observer() const { return removal_observer_; }
 
   // --- partition gate (tenant subsystem) --------------------------------
   // Consulted before any allocation from *free* space. Returning false

@@ -546,8 +546,8 @@ void S4DCache::AuditInvariants(bool expect_quiescent) const {
       << ident.cdt_inserts << " CDT inserts of " << ident.critical
       << " critical decisions";
 
-  // Attached policy state (ghost caches, recency lists, controller
-  // counters) audits together with the core structures.
+  // Attached subsystem state (admission controller, tenant partitions)
+  // audits together with the core structures.
   if (extra_audit_) extra_audit_();
 }
 

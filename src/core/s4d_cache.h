@@ -200,14 +200,6 @@ class S4DCache final : public mpiio::IoDispatch {
   void SetQueuePressureProbe(std::function<double()> probe) {
     queue_pressure_probe_ = std::move(probe);
   }
-  // Fitted mean queue delay across the cache tier; 0 without a probe. The
-  // policy subsystem's time-unit pressure veto consults this.
-  void SetQueueDelayProbe(std::function<SimTime()> probe) {
-    queue_delay_probe_ = std::move(probe);
-  }
-  SimTime CacheTierQueueDelayEstimate() const {
-    return queue_delay_probe_ ? queue_delay_probe_() : 0;
-  }
 
   // --- policy subsystem hooks --------------------------------------------
   // Fires once per foreground request, at completion time, with the full
@@ -322,7 +314,6 @@ class S4DCache final : public mpiio::IoDispatch {
   DirtyLossHook dirty_loss_hook_;
   RequestObserver request_observer_;
   std::function<double()> queue_pressure_probe_;
-  std::function<SimTime()> queue_delay_probe_;
   RequestStartHook request_start_;
   std::function<void()> extra_audit_;
 

@@ -41,9 +41,8 @@ Status ValidateConfig(const ConfigParser& config) {
         "file"}},
       {"obs", {"trace_out", "metrics_out", "sample_interval", "capture_out"}},
       {"policy",
-       {"mode", "eviction", "admission", "destage", "ghost_capacity",
-        "window_requests", "seq_distance_max", "ewma_alpha", "threshold_step",
-        "threshold_max", "pressure_max_queue", "pressure_max_delay"}},
+       {"mode", "ewma_alpha", "threshold_step", "threshold_max",
+        "pressure_max_queue"}},
       {"calib",
        {"enable", "forget", "min_samples", "queue_gain", "saturation_depth",
         "calibrate_dservers", "calibrate_cservers"}},
@@ -296,6 +295,9 @@ Result<std::unique_ptr<Scenario>> Scenario::Build(const ConfigParser& config,
                                              bed.stock()));
   s->replay_.checker = s->checker_.get();
   s->replay_.obs = obs;
+  // Every typed read is done: a malformed value that fell back to its
+  // default fails the run instead.
+  if (Status typed = config.typed_error(); !typed.ok()) return typed;
   return s;
 }
 

@@ -2,8 +2,8 @@
 // and a run of its [workload]. A single s4dsim run and every seed of a
 // `--sweep-seeds` sweep go through it, so both run the same experiment.
 //
-// Build validates the config (an unknown key or enum value is an error,
-// never a silent default) and assembles, in this order: the testbed (every
+// Build validates the config (an unknown key, an unknown enum value or a
+// malformed typed value is an error, never a silent default) and assembles, in this order: the testbed (every
 // [cluster] key, see ApplyClusterOverrides), the middleware (every
 // [middleware] key plus faults.queue_stale_timeout), the [policy] engine,
 // the [tenants] manager, the [calib] engine, the content checker

@@ -53,10 +53,10 @@ class IoDispatch {
                                                 byte_count size) = 0;
 
   // Stamps `token` over the range, wherever the data for that range
-  // currently lives. Used by layers that merge several ranks' writes into
-  // one physical request (collective I/O) and therefore cannot express
-  // per-span tokens through Write()'s single content_token. Must be called
-  // at the same instant as (directly after) the corresponding Write().
+  // currently lives, without issuing I/O. Dispatches that wrap another one
+  // (the client memory cache, timing shims) forward it to their backend.
+  // Must be called at the same instant as (directly after) the
+  // corresponding Write().
   virtual void StampContent(const std::string& file, byte_count offset,
                             byte_count size, std::uint64_t token) {
     (void)file;

@@ -6,29 +6,14 @@
 
 namespace s4d::policy {
 
-bool AdmissionController::Admit(SimTime benefit, bool model_critical,
-                                bool ghost_hit) {
+bool AdmissionController::Admit(SimTime benefit, bool model_critical) {
   ++stats_.decisions;
-  // LBICA-style veto: a saturated cache tier admits nothing — not even
-  // ghost hits — until the backlog drains through both tiers.
+  // LBICA-style veto: a saturated cache tier admits nothing until the
+  // backlog drains through both tiers.
   if (config_.pressure_max_queue > 0.0 && pressure_probe_ &&
       pressure_probe_() > config_.pressure_max_queue) {
     ++stats_.pressure_vetoes;
     return false;
-  }
-  // Time-unit variant: the calibrated queue-delay estimate speaks the same
-  // unit as B, so the bound transfers across device speeds.
-  if (config_.pressure_max_delay > 0 && delay_probe_ &&
-      delay_probe_() > config_.pressure_max_delay) {
-    ++stats_.pressure_vetoes;
-    return false;
-  }
-  // Ghost-assisted admission: the range was evicted recently and is being
-  // re-requested — direct evidence of reuse the cost model cannot see.
-  if (ghost_hit && !model_critical) {
-    ++stats_.ghost_admits;
-    ++stats_.admits;
-    return true;
   }
   if (!model_critical) return false;
   if (benefit <= threshold_) {
@@ -42,7 +27,7 @@ bool AdmissionController::Admit(SimTime benefit, bool model_critical,
 void AdmissionController::OnCompletion(SimTime predicted_benefit,
                                        SimTime predicted_dserver,
                                        SimTime latency) {
-  if (!config_.feedback || predicted_benefit <= 0) return;
+  if (predicted_benefit <= 0) return;
   ++stats_.feedback_samples;
   // Realized gain: what the DServers were predicted to take minus what the
   // cache path actually took. Ratio of 1 = the model's promise held.
@@ -59,11 +44,11 @@ void AdmissionController::OnCompletion(SimTime predicted_benefit,
   if (stats_.feedback_samples < config_.warmup_samples) return;
   // Fixed-step integer control keeps the threshold deterministic: the
   // EWMA chooses the direction, never the magnitude.
-  if (ewma_gain_ < config_.low_gain && threshold_ < config_.threshold_max) {
+  if (ewma_gain_ < kLowGain && threshold_ < config_.threshold_max) {
     threshold_ =
         std::min(threshold_ + config_.threshold_step, config_.threshold_max);
     ++stats_.threshold_raises;
-  } else if (ewma_gain_ > config_.high_gain && threshold_ > 0) {
+  } else if (ewma_gain_ > kHighGain && threshold_ > 0) {
     threshold_ = std::max<SimTime>(threshold_ - config_.threshold_step, 0);
     ++stats_.threshold_decays;
   }
@@ -76,8 +61,6 @@ void AdmissionController::AuditInvariants() const {
                 stats_.pressure_vetoes <=
             stats_.decisions)
       << "admission counters exceed decisions";
-  S4D_CHECK(stats_.ghost_admits <= stats_.admits)
-      << stats_.ghost_admits << " ghost admits of " << stats_.admits;
 }
 
 }  // namespace s4d::policy

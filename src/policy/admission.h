@@ -28,33 +28,27 @@
 
 namespace s4d::policy {
 
+// Realized/predicted gain band: below kLowGain the threshold rises, above
+// kHighGain it decays. Measured latency includes queueing that the
+// prediction does not, so a positive-but-small gain is normal under healthy
+// load: the threshold rises only once the cache path is slower than the
+// solo-request DServer estimate.
+inline constexpr double kLowGain = 0.0;
+inline constexpr double kHighGain = 0.5;
+
 struct AdmissionControllerConfig {
-  // Master switch for the EWMA feedback; off = fixed threshold 0 (the
-  // paper's B > 0 rule) with only the pressure veto active (if bounded).
-  bool feedback = false;
   double ewma_alpha = 0.125;      // smoothing of the realized-gain ratio
   std::int64_t warmup_samples = 16;  // completions before the threshold moves
   SimTime threshold_step = FromMicros(50);
   SimTime threshold_max = FromMillis(5);
-  // Realized/predicted gain bands: below `low_gain` the threshold rises,
-  // above `high_gain` it decays.
-  double low_gain = 0.5;
-  double high_gain = 0.9;
   // Pressure veto: mean CServer queue depth beyond which admissions are
   // vetoed. 0 disables the veto.
   double pressure_max_queue = 0.0;
-  // Time-unit pressure veto (calibration subsystem): estimated cache-tier
-  // queue *delay* beyond which admissions are vetoed. Unlike the depth
-  // bound above, this compares in the same unit the benefit B is computed
-  // in, so one bound works across device speeds. 0 disables it; without a
-  // delay probe it is inert.
-  SimTime pressure_max_delay = 0;
 };
 
 struct AdmissionControllerStats {
   std::int64_t decisions = 0;
   std::int64_t admits = 0;
-  std::int64_t ghost_admits = 0;       // admitted only thanks to a ghost hit
   std::int64_t threshold_rejects = 0;  // B positive but below the threshold
   std::int64_t pressure_vetoes = 0;
   std::int64_t feedback_samples = 0;
@@ -73,17 +67,9 @@ class AdmissionController {
     pressure_probe_ = std::move(probe);
   }
 
-  // Estimated cache-tier queue delay (fitted mean delay per outstanding
-  // sub-request × live depth); consulted per decision when
-  // `pressure_max_delay` bounds it. Null = inert.
-  void SetQueueDelayProbe(std::function<SimTime()> probe) {
-    delay_probe_ = std::move(probe);
-  }
-
   // Final admission verdict. `model_critical` is the Identifier's paper
-  // verdict (B > 0 after the health veto), `benefit` the health-scaled B,
-  // `ghost_hit` the eviction policy's would-have-hit evidence.
-  bool Admit(SimTime benefit, bool model_critical, bool ghost_hit);
+  // verdict (B > 0 after the health veto), `benefit` the health-scaled B.
+  bool Admit(SimTime benefit, bool model_critical);
 
   // Feedback sample: an admitted, fully-cache-served request completed.
   // `predicted_dserver` is what the model said the DServers would have
@@ -102,7 +88,6 @@ class AdmissionController {
  private:
   AdmissionControllerConfig config_;
   std::function<double()> pressure_probe_;
-  std::function<SimTime()> delay_probe_;
   SimTime threshold_ = 0;
   double ewma_gain_ = 1.0;  // optimistic start: trust the model until data
   AdmissionControllerStats stats_;

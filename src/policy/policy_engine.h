@@ -1,116 +1,76 @@
-// PolicyEngine: the adaptive policy subsystem's front door.
+// PolicyEngine: the admission-policy subsystem's front door.
 //
-// Owns the three policy axes and wires them into an S4DCache through the
-// core's hook points (the core never depends on this library):
+// Wires an AdmissionController into an S4DCache through the core's hook
+// points (the core never depends on this library):
 //
-//   eviction   — a pluggable EvictionPolicy drives the Redirector's victim
-//                selection (SetEvictionHooks) and learns from every removal.
-//   admission  — the Data Identifier's verdict passes through an
-//                AdmissionController (SetAdmissionFilter): ghost-assisted
-//                admission, EWMA feedback threshold, LBICA pressure veto.
-//   destage    — the Rebuilder's flush ordering (set_flush_order).
+//   admission filter  — the Data Identifier's verdict passes through
+//                       AdmissionController::Admit (SetAdmissionFilter):
+//                       EWMA feedback threshold, LBICA pressure veto.
+//   request observer  — every admitted, fully-cache-served completion is a
+//                       feedback sample (SetRequestObserver).
 //
-// In kAdaptive mode a WorkloadCharacterizer watches the request stream and,
-// at window boundaries, re-selects the eviction policy and destage order
-// for the detected phase (ReCA-style reconfiguration):
-//
-//   sequential -> lru + file-run destage   (streams recycle cleanly; big
-//                                           coalesced write-back wins)
-//   random     -> arc + lru-first destage  (reuse matters; clean what the
-//                                           policy wants to reclaim next)
-//   mixed      -> selective-lru + file-runs (LRU order with ghost evidence
-//                                           feeding admission)
+// Eviction stays the paper's clean-LRU and destage stays the Rebuilder's
+// coalesced file-order flush: neither hook is installed.
 //
 // With PolicyMode::kPaperDefault the engine must not be constructed at
 // all — s4dsim skips it entirely, leaving every core hook null, which the
-// core guarantees is byte-identical to the pre-policy behaviour. kFixed
-// with eviction=lru and admission=fixed installs the hooks but reproduces
-// the paper's decisions exactly (the equivalence test pins this).
+// core guarantees is byte-identical to the pre-policy behaviour. An
+// attached engine whose threshold never leaves 0 and whose veto is
+// unbounded reproduces the paper's decisions exactly (the equivalence test
+// pins this).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/config_parser.h"
 #include "common/status.h"
 #include "core/s4d_cache.h"
 #include "obs/observability.h"
 #include "policy/admission.h"
-#include "policy/characterizer.h"
-#include "policy/eviction.h"
 
 namespace s4d::policy {
 
-enum class PolicyMode : std::uint8_t { kPaperDefault, kFixed, kAdaptive };
+enum class PolicyMode : std::uint8_t { kPaperDefault, kAdaptive };
 
 const char* PolicyModeName(PolicyMode mode);
 
 struct PolicyConfig {
   PolicyMode mode = PolicyMode::kPaperDefault;
-  EvictionKind eviction = EvictionKind::kLru;  // kFixed starting point
-  core::FlushOrder destage = core::FlushOrder::kFileRuns;
-  std::size_t ghost_capacity = 4096;  // entries per ghost list
   AdmissionControllerConfig admission;
-  CharacterizerConfig characterizer;
 };
 
 // Parses the [policy] section:
-//   mode             = paper-default | fixed | adaptive
-//   eviction         = lru | arc | selective-lru
-//   admission        = fixed | feedback
-//   destage          = file-runs | lru-first
-//   ghost_capacity   = <count>
-//   window_requests  = <count>
-//   seq_distance_max = <size>
-//   ewma_alpha       = <0..1>
-//   threshold_step   = <duration>
-//   threshold_max    = <duration>
+//   mode               = paper-default | adaptive
+//   ewma_alpha         = <0..1>
+//   threshold_step     = <duration>
+//   threshold_max      = <duration>
 //   pressure_max_queue = <mean queue depth; 0 disables the veto>
 // Unknown keys are rejected by the caller's schema validation; this
 // function rejects invalid *values* and any non-mode key present alongside
 // mode=paper-default (those keys would silently do nothing otherwise).
 Result<PolicyConfig> ParsePolicyConfig(const ConfigParser& config);
 
-struct PolicyEngineStats {
-  std::int64_t policy_switches = 0;  // eviction policy changed at a window
-};
-
 class PolicyEngine {
  public:
   explicit PolicyEngine(PolicyConfig config);
 
-  // Installs every hook into `cache` (and its Redirector / Identifier /
-  // Rebuilder). Call once, before traffic; the cache must outlive the
-  // engine's use. `obs` (nullable) receives policy.* metrics and
-  // policy-switch trace instants.
+  // Installs the admission filter and request observer into `cache`. Call
+  // once, before traffic; the cache must outlive the engine's use. `obs`
+  // (nullable) receives policy.* metrics.
   void Attach(core::S4DCache& cache, obs::Observability* obs = nullptr);
 
   const PolicyConfig& config() const { return config_; }
   const AdmissionController& admission() const { return controller_; }
-  const WorkloadCharacterizer& characterizer() const { return characterizer_; }
-  const EvictionPolicy& eviction() const { return *eviction_; }
-  EvictionKind eviction_kind() const { return eviction_kind_; }
-  const PolicyEngineStats& stats() const { return stats_; }
 
-  // Audits the controller, characterizer and eviction-policy invariants;
-  // Attach() registers it as the cache's extra audit so it also rides the
-  // paranoid-build periodic audits.
-  void AuditInvariants() const;
+  // Audits the controller's invariants; Attach() registers it as the
+  // cache's extra audit so it also rides the paranoid-build periodic
+  // audits.
+  void AuditInvariants() const { controller_.AuditInvariants(); }
 
  private:
-  void OnWindow(const WindowSummary& summary);
-  void SwitchEviction(EvictionKind kind);
-
   PolicyConfig config_;
   core::S4DCache* cache_ = nullptr;
-  std::unique_ptr<EvictionPolicy> eviction_;
-  EvictionKind eviction_kind_;
   AdmissionController controller_;
-  WorkloadCharacterizer characterizer_;
-  PolicyEngineStats stats_;
-
-  obs::Observability* obs_ = nullptr;
-  std::uint32_t lane_ = 0;
 };
 
 }  // namespace s4d::policy

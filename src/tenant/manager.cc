@@ -34,7 +34,7 @@ TenantManager::TenantManager(sim::Engine& engine, TenantRegistry registry,
   const std::size_t ghost_capacity = registry_.config().ghost_capacity;
   for (std::size_t t = 0; t < n; ++t) {
     ghosts_.push_back(ghost_capacity > 0
-                          ? std::make_unique<policy::GhostCache>(ghost_capacity)
+                          ? std::make_unique<GhostCache>(ghost_capacity)
                           : nullptr);
   }
 }
@@ -77,14 +77,12 @@ void TenantManager::Attach(core::S4DCache& cache) {
     OnOutcome(outcome);
   });
 
-  // Removals: populate the owning tenant's ghost list (chains the policy's
-  // removal observer; the owner is resolved before the allocator frees the
-  // range). In enforce mode the victim provider becomes partition-aware,
-  // replacing any policy-installed selection — partition containment is a
-  // hard guarantee, see the header.
+  // Removals: populate the owning tenant's ghost list (the owner is
+  // resolved before the allocator frees the range). In enforce mode the
+  // victim provider becomes partition-aware; in observe mode victim
+  // selection stays the paper's clean-LRU.
   core::Redirector& redirector = cache.redirector();
-  prev_removal_ = redirector.removal_observer();
-  core::Redirector::VictimProvider provider = redirector.victim_provider();
+  core::Redirector::VictimProvider provider;
   if (cfg.mode == TenantMode::kEnforce) {
     provider = [this]() { return SelectVictim(); };
     redirector.SetFreeSpaceGate(
@@ -240,7 +238,7 @@ void TenantManager::OnRequestStart(const mpiio::FileRequest& request,
   ++s.requests;
   if (kind == device::IoKind::kRead) ++s.read_requests;
   ++window_requests_[static_cast<std::size_t>(t)];
-  policy::GhostCache* ghost = ghosts_[static_cast<std::size_t>(t)].get();
+  GhostCache* ghost = ghosts_[static_cast<std::size_t>(t)].get();
   if (ghost != nullptr && ghost->Probe(request.file, request.offset,
                                        request.offset + request.size)) {
     ++s.ghost_hits;
@@ -270,12 +268,11 @@ void TenantManager::OnOutcome(const core::RequestOutcome& outcome) {
 
 void TenantManager::OnRemoved(const core::RemovedExtent& extent,
                               bool evicted) {
-  if (prev_removal_) prev_removal_(extent, evicted);
   if (!evicted) return;  // invalidations are not would-have-hit evidence
   int owner = cache_->cache_space().OwnerOf(extent.cache_offset,
                                             extent.length());
   if (owner < 0 || owner >= count()) owner = 0;
-  policy::GhostCache* ghost = ghosts_[static_cast<std::size_t>(owner)].get();
+  GhostCache* ghost = ghosts_[static_cast<std::size_t>(owner)].get();
   if (ghost != nullptr) {
     ghost->Insert(extent.file, extent.orig_begin, extent.orig_end);
   }

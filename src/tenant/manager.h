@@ -31,10 +31,10 @@
 // decision reduces to the unpartitioned behaviour (the gate always passes,
 // the victim scan degenerates to global clean-LRU) — pinned byte-identical
 // by the equivalence test. When a PolicyEngine is also attached, attach the
-// TenantManager *after* it: admission/removal/outcome hooks chain, but in
-// enforce mode the partition-constrained victim provider replaces the
-// policy's victim selection (partition containment is a hard guarantee;
-// within a partition the order is clean-LRU).
+// TenantManager *after* it: the admission filter and outcome observer
+// chain. The TenantManager owns the Redirector's eviction hooks: in enforce
+// mode its partition-constrained victim provider is a hard containment
+// guarantee (within a partition the order is clean-LRU).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +46,8 @@
 
 #include "core/s4d_cache.h"
 #include "obs/observability.h"
-#include "policy/eviction.h"
 #include "sim/engine.h"
+#include "tenant/ghost_cache.h"
 #include "tenant/registry.h"
 
 namespace s4d::tenant {
@@ -145,7 +145,7 @@ class TenantManager {
   std::vector<byte_count> quota_;
   std::vector<byte_count> floor_;
   std::vector<TenantStats> stats_;
-  std::vector<std::unique_ptr<policy::GhostCache>> ghosts_;
+  std::vector<std::unique_ptr<GhostCache>> ghosts_;
 
   // Over-quota partitions ordered by reclaim priority — excess descending,
   // ties to the lowest tenant index (the exact order the old per-eviction
@@ -184,7 +184,6 @@ class TenantManager {
   // Previously installed hooks, chained.
   core::DataIdentifier::AdmissionFilter prev_filter_;
   core::S4DCache::RequestObserver prev_observer_;
-  core::Redirector::RemovalObserver prev_removal_;
   std::function<void()> prev_audit_;
 
   sim::EventId sizer_tick_ = sim::kInvalidEvent;

@@ -138,7 +138,7 @@ TEST(ServerFit, QueueDelayEstimateIsMonotoneInDepth) {
   const ServerFit::Params p = fit.Solve(999.0);
   EXPECT_GT(p.queue_ns, 0.0);
   // The composed estimate startup + b*size + c*depth must strictly grow
-  // with observed depth — the property the admission veto relies on.
+  // with observed depth, so a deeper queue never makes a tier look faster.
   double last = -1.0;
   for (int depth = 0; depth < 32; ++depth) {
     const double t = p.startup_ns + p.ns_per_byte * 16384.0 + p.queue_ns * depth;
@@ -231,7 +231,6 @@ TEST(CalibrationEngine, ColdEngineDeclinesEveryEstimate) {
   EXPECT_EQ(cal.CServerEstimate(device::IoKind::kWrite, 0, 64 * KiB), -1);
   EXPECT_EQ(cal.DServerEstimate(FromMillis(3), 0, 64 * KiB), -1);
   EXPECT_EQ(cal.stats().declines, 2);
-  EXPECT_EQ(cal.CServerQueueDelayEstimate(), 0);
   EXPECT_FALSE(cal.CacheTierSaturated());
 }
 

@@ -112,6 +112,41 @@ TEST(ConfigParser, DefaultsAndSet) {
   EXPECT_EQ(config.SizeOr("y", "new", 0), 64 * KiB);
 }
 
+TEST(ConfigParser, MalformedTypedReadIsRecorded) {
+  ConfigParser config;
+  ASSERT_TRUE(config.Parse("[w]\nranks = 4x\nrandom = ture\nok = 3\n").ok());
+  EXPECT_EQ(config.IntOr("w", "ok", 0), 3);
+  EXPECT_EQ(config.IntOr("w", "absent", 5), 5);
+  EXPECT_TRUE(config.typed_error().ok()) << "absent and valid keys are fine";
+  EXPECT_EQ(config.IntOr("w", "ranks", 32), 32) << "still the fallback";
+  EXPECT_TRUE(config.BoolOr("w", "random", true));
+  const Status st = config.typed_error();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("w.ranks"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("'4x'"), std::string::npos)
+      << "the first malformed read wins: " << st.ToString();
+
+  // One read of s.v = `value` through `read`; true iff it was recorded.
+  const auto recorded = [](const char* value, auto read) {
+    ConfigParser one;
+    one.Set("s", "v", value);
+    read(one);
+    return !one.typed_error().ok();
+  };
+  EXPECT_TRUE(recorded("2..5", [](const ConfigParser& c) {
+    (void)c.DoubleOr("s", "v", 0.0);
+  }));
+  EXPECT_TRUE(recorded("16kb", [](const ConfigParser& c) {
+    (void)c.SizeOr("s", "v", 0);
+  }));
+  EXPECT_TRUE(recorded("100mz", [](const ConfigParser& c) {
+    (void)c.DurationOr("s", "v", 0);
+  }));
+  EXPECT_FALSE(recorded("100ms", [](const ConfigParser& c) {
+    (void)c.DurationOr("s", "v", 0);
+  }));
+}
+
 TEST(ConfigParser, HasSectionMatchesWholeSectionNames) {
   ConfigParser config;
   ASSERT_TRUE(config.Parse("[calibration]\nk = 1\n[z]\nk = 2\n").ok());

@@ -120,41 +120,18 @@ TEST(Dmt, EvictSkipsDirty) {
   EXPECT_EQ(dmt.EvictLruClean(), std::nullopt) << "only dirty data remains";
 }
 
-TEST(Dmt, EvictCleanOverlappingPicksOnlyInRange) {
-  DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, false);
-  dmt.Insert("f", 200, 100, 100, false);
-  dmt.Insert("g", 0, 100, 200, false);
-  EXPECT_EQ(dmt.EvictCleanOverlapping("f", 100, 200), std::nullopt)
-      << "gap between extents must not match";
-  const auto victim = dmt.EvictCleanOverlapping("f", 250, 260);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(victim->orig_begin, 200);
-  EXPECT_EQ(victim->orig_end, 300);
-  EXPECT_EQ(dmt.mapped_bytes(), 200);
-  EXPECT_TRUE(dmt.Lookup("f", 200, 100).fully_unmapped());
-  EXPECT_TRUE(dmt.Lookup("g", 0, 100).fully_mapped()) << "other file intact";
+// The dirty extents of a table holding exactly one dirty run, as snapshots.
+std::vector<DirtyRange> OnlyDirtyRun(const DataMappingTable& dmt) {
+  auto runs = dmt.CollectDirtyRuns(1 << 20, 1 << 20);
+  EXPECT_EQ(runs.size(), 1u);
+  return runs.empty() ? std::vector<DirtyRange>{} : runs[0].segments;
 }
 
-TEST(Dmt, EvictCleanOverlappingSkipsDirty) {
-  DataMappingTable dmt;
-  dmt.Insert("f", 0, 100, 0, true);
-  dmt.Insert("f", 100, 25, 200, false);
-  const auto victim = dmt.EvictCleanOverlapping("f", 0, 125);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(victim->orig_begin, 100);
-  EXPECT_EQ(victim->orig_end, 125);
-  EXPECT_FALSE(victim->dirty);
-  EXPECT_EQ(dmt.EvictCleanOverlapping("f", 0, 125), std::nullopt)
-      << "only dirty extents remain in range";
-  EXPECT_EQ(dmt.dirty_bytes(), dmt.mapped_bytes());
-}
-
-TEST(Dmt, CollectDirtyReturnsSnapshotsWithVersions) {
+TEST(Dmt, CollectDirtyRunsReturnsSnapshotsWithVersions) {
   DataMappingTable dmt;
   dmt.Insert("f", 0, 100, 500, true);
   dmt.Insert("f", 200, 100, 600, false);
-  const auto dirty = dmt.CollectDirty(10);
+  const auto dirty = OnlyDirtyRun(dmt);
   ASSERT_EQ(dirty.size(), 1u);
   EXPECT_EQ(dirty[0].orig_begin, 0);
   EXPECT_EQ(dirty[0].cache_offset, 500);
@@ -228,7 +205,7 @@ TEST(Dmt, CollectDirtyRunsSpansFiles) {
 TEST(Dmt, MarkCleanIfVersionMatches) {
   DataMappingTable dmt;
   dmt.Insert("f", 0, 100, 0, true);
-  const auto dirty = dmt.CollectDirty(1);
+  const auto dirty = OnlyDirtyRun(dmt);
   ASSERT_EQ(dirty.size(), 1u);
   EXPECT_TRUE(dmt.MarkCleanIfVersion("f", 0, 100, dirty[0].version));
   EXPECT_EQ(dmt.dirty_bytes(), 0);
@@ -239,7 +216,8 @@ TEST(Dmt, MarkCleanIfVersionMatches) {
 TEST(Dmt, MarkCleanFailsAfterRedirtying) {
   DataMappingTable dmt;
   dmt.Insert("f", 0, 100, 0, true);
-  const auto snapshot = dmt.CollectDirty(1);
+  const auto snapshot = OnlyDirtyRun(dmt);
+  ASSERT_EQ(snapshot.size(), 1u);
   // A write races the in-flight flush and re-dirties the extent.
   dmt.SetDirty("f", 0, 100, true);
   EXPECT_FALSE(dmt.MarkCleanIfVersion("f", 0, 100, snapshot[0].version));
@@ -249,7 +227,8 @@ TEST(Dmt, MarkCleanFailsAfterRedirtying) {
 TEST(Dmt, MarkCleanFailsAfterSplit) {
   DataMappingTable dmt;
   dmt.Insert("f", 0, 100, 0, true);
-  const auto snapshot = dmt.CollectDirty(1);
+  const auto snapshot = OnlyDirtyRun(dmt);
+  ASSERT_EQ(snapshot.size(), 1u);
   (void)dmt.Invalidate("f", 40, 20);
   EXPECT_FALSE(dmt.MarkCleanIfVersion("f", 0, 100, snapshot[0].version));
 }
@@ -376,33 +355,6 @@ class ReferenceDmt {
     if (!i) return std::nullopt;
     const RemovedExtent out = ToRemoved(exts_[*i]);
     exts_.erase(exts_.begin() + static_cast<std::ptrdiff_t>(*i));
-    return out;
-  }
-
-  std::optional<RemovedExtent> EvictCleanOverlapping(const std::string& file,
-                                                     byte_count begin,
-                                                     byte_count end) {
-    if (begin >= end || !Known(file)) return std::nullopt;
-    for (std::size_t i : InRange(file, begin, end)) {
-      if (exts_[i].dirty) continue;
-      const RemovedExtent out = ToRemoved(exts_[i]);
-      exts_.erase(exts_.begin() + static_cast<std::ptrdiff_t>(i));
-      return out;
-    }
-    return std::nullopt;
-  }
-
-  std::vector<DirtyRange> CollectDirty(std::size_t max_ranges) const {
-    std::vector<const Ext*> dirty;
-    for (const Ext& e : exts_) {
-      if (e.dirty) dirty.push_back(&e);
-    }
-    std::sort(dirty.begin(), dirty.end(),
-              [](const Ext* a, const Ext* b) { return a->seq < b->seq; });
-    std::vector<DirtyRange> out;
-    for (std::size_t i = 0; i < dirty.size() && i < max_ranges; ++i) {
-      out.push_back(ToRange(*dirty[i]));
-    }
     return out;
   }
 
@@ -616,10 +568,6 @@ void ExpectSameState(const DataMappingTable& dmt, const ReferenceDmt& ref,
   EXPECT_EQ(dmt.dirty_bytes(), dirty);
   ExpectSameExtents(dmt.AllExtents(), all);
 
-  const std::size_t k = rng.NextBelow(6);
-  ExpectSameRanges(dmt.CollectDirty(k), ref.CollectDirty(k));
-  ExpectSameRanges(dmt.CollectDirty(1 << 20), ref.CollectDirty(1 << 20));
-
   // Small budgets exercise the total-budget break and the run cap.
   const byte_count total = rng.NextInRange(1, 400);
   const byte_count run = rng.NextInRange(1, 160);
@@ -694,13 +642,9 @@ TEST(DmtDifferential, MatchesBruteForceReference) {
         }
       } else if (op < 88) {
         ExpectSameVictim(dmt.EvictLruClean(), ref.EvictLruCleanIf(nullptr));
-      } else if (op < 94) {
+      } else {
         ExpectSameVictim(dmt.EvictLruCleanIf(in_partition),
                          ref.EvictLruCleanIf(in_partition));
-      } else {
-        const byte_count end = offset + size;
-        ExpectSameVictim(dmt.EvictCleanOverlapping(file, offset, end),
-                         ref.EvictCleanOverlapping(file, offset, end));
       }
       ASSERT_LT(ref.DirtyExtents().size(), 512u);
       ExpectSameState(dmt, ref, now, rng);

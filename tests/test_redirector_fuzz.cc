@@ -72,11 +72,13 @@ TEST_P(RedirectorFuzz, InvariantsHoldAfterEveryOperation) {
       (void)lookup;
       ASSERT_EQ(dmt.mapped_bytes(), mapped_before);
     } else if (action == 8) {
-      // Rebuilder-style cleaning of a random dirty snapshot.
-      for (const DirtyRange& range : dmt.CollectDirty(8)) {
-        if (rng.NextBool(0.5)) {
-          dmt.MarkCleanIfVersion(range.file, range.orig_begin, range.orig_end,
-                                 range.version);
+      // Rebuilder-style cleaning of a random part of a dirty snapshot.
+      for (const DirtyRun& run : dmt.CollectDirtyRuns(1 * MiB, 256 * KiB)) {
+        for (const DirtyRange& range : run.segments) {
+          if (rng.NextBool(0.5)) {
+            dmt.MarkCleanIfVersion(range.file, range.orig_begin,
+                                   range.orig_end, range.version);
+          }
         }
       }
     } else {

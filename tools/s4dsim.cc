@@ -72,8 +72,9 @@
 // prints one result row per seed plus an aggregate. `--jobs=J` runs them on
 // J threads; every run owns its whole simulated world, so the per-seed
 // rows are byte-identical for any J. harness::Scenario builds and runs
-// both, so a sweep row reports the single run's last pass. An unknown key
-// or enum value is a config error (stderr, exit 1), never a default.
+// both, so a sweep row reports the single run's last pass. An unknown key,
+// an unknown enum value or a malformed number, boolean, size or duration
+// is a config error (stderr, exit 1), never a default.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -327,17 +328,18 @@ int Run(const ConfigParser& config) {
                 s4d->dmt().entry_count(),
                 FormatBytes(s4d->dmt().dirty_bytes()).c_str());
     if (policy_engine) {
-      const auto& as = policy_engine->admission().stats();
+      const policy::AdmissionController& ac = policy_engine->admission();
+      const auto& as = ac.stats();
       std::printf(
-          "policy: %s/%s eviction, %lld admits (%lld ghost), %lld threshold "
-          "rejects, %lld pressure vetoes, %lld switches\n",
+          "policy: %s, %lld admits, %lld threshold rejects, %lld pressure "
+          "vetoes, threshold %lld us (%lld raises, %lld decays)\n",
           policy::PolicyModeName(policy_engine->config().mode),
-          policy::EvictionKindName(policy_engine->eviction_kind()),
           static_cast<long long>(as.admits),
-          static_cast<long long>(as.ghost_admits),
           static_cast<long long>(as.threshold_rejects),
           static_cast<long long>(as.pressure_vetoes),
-          static_cast<long long>(policy_engine->stats().policy_switches));
+          static_cast<long long>(ac.threshold() / kMicrosecond),
+          static_cast<long long>(as.threshold_raises),
+          static_cast<long long>(as.threshold_decays));
     }
     if (scenario.tenant_manager()) scenario.tenant_manager()->PrintReport();
     if (calibration) {
