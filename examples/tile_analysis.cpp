@@ -1,8 +1,10 @@
-// Tile-I/O analysis: run the MPI-Tile-IO workload through S4D-Cache with
-// the IOSIG-style trace collector attached, and show how the middleware
-// decides — the request distribution between server groups, the
-// sequentiality each group observes, cache admissions/evictions, and the
-// cost model's verdict for representative requests.
+// Tile-I/O analysis: run the MPI-Tile-IO workload through S4D-Cache and
+// show how the middleware decides — the request distribution between
+// server groups (FsStats deltas over the run), how sequential the stream
+// each group's servers see is (the share of served jobs that needed no
+// positioning; an SSD always pays its command latency, so CServers read
+// 0), cache admissions/evictions, and the cost model's verdict for
+// representative requests.
 //
 //   $ ./examples/tile_analysis
 #include <cstdio>
@@ -12,7 +14,6 @@
 #include "core/s4d_cache.h"
 #include "harness/driver.h"
 #include "harness/testbed.h"
-#include "trace/trace.h"
 #include "workloads/tile_io.h"
 
 using namespace s4d;
@@ -22,10 +23,6 @@ int main() {
   core::S4DConfig cfg;
   cfg.cache_capacity = 32 * MiB;
   auto s4d = bed.MakeS4D(cfg);
-
-  trace::TraceCollector collector;
-  collector.Attach(bed.dservers(), "DServers");
-  collector.Attach(bed.cservers(), "CServers");
 
   workloads::TileIoConfig tile;
   tile.ranks = 64;
@@ -73,26 +70,50 @@ int main() {
   // --- run it -------------------------------------------------------------
   mpiio::MpiIoLayer layer(bed.engine(), *s4d);
   workloads::TileIoWorkload wl(tile);
-  const SimTime begin = bed.engine().now();
+  struct Group {
+    const char* name;
+    pfs::FileSystem& fs;
+    pfs::FsStats requests_before;
+    pfs::ServerStats served_before;
+  };
+  const Group groups[] = {
+      {"DServers", bed.dservers(), bed.dservers().stats(),
+       bed.dservers().TotalServerStats()},
+      {"CServers", bed.cservers(), bed.cservers().stats(),
+       bed.cservers().TotalServerStats()}};
   const auto result = harness::RunClosedLoop(layer, wl);
-  const SimTime end = bed.engine().now();
 
   std::printf("ran %lld requests, %.1f MB/s aggregate\n\n",
               static_cast<long long>(result.requests),
               result.throughput_mbps);
 
-  const auto dist = collector.RequestDistribution(begin, end);
-  TablePrinter table({"server group", "requests", "% of requests",
-                      "bytes", "seq fraction"});
-  for (const std::string group : {"DServers", "CServers"}) {
-    const auto it = dist.requests.find(group);
-    const std::int64_t requests = it == dist.requests.end() ? 0 : it->second;
-    const auto bytes_it = dist.bytes.find(group);
+  std::int64_t routed = 0;
+  for (const Group& g : groups) {
+    routed += (g.fs.stats() - g.requests_before).foreground_requests;
+  }
+  TablePrinter table({"server group", "requests", "% of requests", "bytes",
+                      "zero-positioning share"});
+  for (const Group& g : groups) {
+    const pfs::FsStats window = g.fs.stats() - g.requests_before;
+    // Jobs the servers served during the run (foreground and background),
+    // and how many of them found the head already in place.
+    const pfs::ServerStats served = g.fs.TotalServerStats();
+    const std::int64_t jobs =
+        served.requests + served.background_requests -
+        g.served_before.requests - g.served_before.background_requests;
+    const std::int64_t in_place = served.zero_positioning_jobs -
+                                  g.served_before.zero_positioning_jobs;
     table.AddRow(
-        {group, TablePrinter::Int(requests),
-         TablePrinter::Percent(dist.RequestPercent(group)),
-         FormatBytes(bytes_it == dist.bytes.end() ? 0 : bytes_it->second),
-         TablePrinter::Num(collector.SequentialFraction(group, begin, end),
+        {g.name, TablePrinter::Int(window.foreground_requests),
+         TablePrinter::Percent(
+             routed == 0 ? 0.0
+                         : 100.0 *
+                               static_cast<double>(window.foreground_requests) /
+                               static_cast<double>(routed)),
+         FormatBytes(window.foreground_bytes),
+         TablePrinter::Num(jobs == 0 ? 0.0
+                                     : static_cast<double>(in_place) /
+                                           static_cast<double>(jobs),
                            2)});
   }
   table.Print(std::cout);

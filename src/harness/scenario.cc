@@ -320,6 +320,8 @@ tracein::ReplayResult Scenario::Run(const PassCallback& on_pass) {
     Settle();
   }
   measure_begin_ = bed_->engine().now();
+  const pfs::FsStats dservers_begin = bed_->dservers().stats();
+  const pfs::FsStats cservers_begin = bed_->cservers().stats();
   tracein::ReplayResult last;
   for (int pass = 1; pass <= repeat_; ++pass) {
     if (timed_trace_) {
@@ -331,6 +333,8 @@ tracein::ReplayResult Scenario::Run(const PassCallback& on_pass) {
     if (on_pass) on_pass(pass, last);
   }
   measure_end_ = bed_->engine().now();
+  dservers_window_ = bed_->dservers().stats() - dservers_begin;
+  cservers_window_ = bed_->cservers().stats() - cservers_begin;
   return last;
 }
 

@@ -84,6 +84,13 @@ class Scenario {
   // Simulated span of the passes (warm-up excluded).
   SimTime measure_begin() const { return measure_begin_; }
   SimTime measure_end() const { return measure_end_; }
+  // What each tier's file system did over the same span: the FsStats
+  // delta between the two snapshots. Foreground requests are issued only
+  // on behalf of client requests, and none is in flight at either
+  // snapshot, so the foreground counters cover the normal-priority
+  // requests issued in [measure_begin, measure_end).
+  const pfs::FsStats& dservers_window() const { return dservers_window_; }
+  const pfs::FsStats& cservers_window() const { return cservers_window_; }
 
  private:
   Scenario() = default;
@@ -107,6 +114,8 @@ class Scenario {
   std::function<void(int, const workloads::Request&)> on_issue_;
   SimTime measure_begin_ = 0;
   SimTime measure_end_ = 0;
+  pfs::FsStats dservers_window_;
+  pfs::FsStats cservers_window_;
 };
 
 }  // namespace s4d::harness

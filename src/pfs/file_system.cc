@@ -9,6 +9,17 @@
 
 namespace s4d::pfs {
 
+FsStats operator-(const FsStats& after, const FsStats& before) {
+  FsStats d;
+  d.requests = after.requests - before.requests;
+  d.bytes = after.bytes - before.bytes;
+  d.failed_requests = after.failed_requests - before.failed_requests;
+  d.foreground_requests =
+      after.foreground_requests - before.foreground_requests;
+  d.foreground_bytes = after.foreground_bytes - before.foreground_bytes;
+  return d;
+}
+
 FileSystem::FileSystem(sim::Engine& engine, FsConfig config,
                        DeviceFactory factory)
     : engine_(engine), config_(std::move(config)) {
@@ -154,6 +165,10 @@ void FileSystem::Submit(FileId file, device::IoKind kind, byte_count offset,
 
   ++stats_.requests;
   stats_.bytes += size;
+  if (priority == Priority::kNormal) {
+    ++stats_.foreground_requests;
+    stats_.foreground_bytes += size;
+  }
   outstanding_subs_ += static_cast<std::int64_t>(subs.size());
 
   RequestRecord record;

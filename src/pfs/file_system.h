@@ -42,8 +42,8 @@ struct FsConfig {
   bool track_content = false;
 };
 
-// Every request submitted to the file system is reported to observers —
-// this is the hook the IOSIG-like trace collector attaches to.
+// Every non-empty request submitted to the file system is reported to
+// observers (tests and bench_table3 attach here for per-request detail).
 struct RequestRecord {
   FileId file = kInvalidFile;
   device::IoKind kind = device::IoKind::kRead;
@@ -60,7 +60,14 @@ struct FsStats {
   // Requests in which at least one sub-request failed (crashed server,
   // injected error).
   std::int64_t failed_requests = 0;
+  // The normal-priority (foreground) share of `requests` and `bytes`; the
+  // rest is background (Rebuilder) traffic.
+  std::int64_t foreground_requests = 0;
+  byte_count foreground_bytes = 0;
 };
+
+// Counter-wise difference: what a file system did between two snapshots.
+FsStats operator-(const FsStats& after, const FsStats& before);
 
 // One resolved sub-request, as the *client* observed it: submitted at
 // `submit_time` when `depth_at_submit` subs were already outstanding on that

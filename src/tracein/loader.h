@@ -11,7 +11,8 @@
 //           keep their file order. Each distinct hostname.disk pair is one
 //           replay stream.
 //
-//   native  The IOSIG-style collector's WriteCsv output (src/trace):
+//   native  The CSV that the former IOSIG-style trace collector wrote
+//           (examples/traces/native_sample.csv is the committed sample):
 //             system,file,kind,offset,size,priority,issue_ns,servers
 //           Background-priority rows are dropped (they are the middleware's
 //           own flush/fetch traffic, not application requests). Each

@@ -23,7 +23,7 @@ namespace s4d::tracein {
 enum class TraceFormat {
   kAuto,      // sniff from content
   kMsr,       // MSR-Cambridge-style block trace CSV
-  kNative,    // the IOSIG-style collector's WriteCsv output (src/trace)
+  kNative,    // the former IOSIG-style collector's CSV (see loader.h)
   kReplay,    // rank,kind,offset,size[,arrival_ns] CSV
   kBinary,    // compact binary (see loader.h for the layout)
 };

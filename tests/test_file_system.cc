@@ -115,14 +115,29 @@ TEST(FileSystem, ObserversSeeEveryRequest) {
   std::vector<RequestRecord> records;
   fs.AddObserver([&](const RequestRecord& r) { records.push_back(r); });
   fs.Submit(f, device::IoKind::kWrite, 0, 128 * KiB, Priority::kNormal, nullptr);
+  const FsStats after_first = fs.stats();
   fs.Submit(f, device::IoKind::kRead, 64 * KiB, 4 * KiB, Priority::kBackground,
             nullptr);
+  // Zero-size: completes, but is neither observed nor counted.
+  fs.Submit(f, device::IoKind::kWrite, 0, 0, Priority::kNormal, nullptr);
   engine.Run();
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].kind, device::IoKind::kWrite);
   EXPECT_EQ(records[0].size, 128 * KiB);
   EXPECT_EQ(records[0].server_count, 2);
   EXPECT_EQ(records[1].priority, Priority::kBackground);
+
+  // The counters agree with the records: both requests count, only the
+  // normal-priority one as foreground.
+  EXPECT_EQ(fs.stats().requests, 2);
+  EXPECT_EQ(fs.stats().bytes, 132 * KiB);
+  EXPECT_EQ(fs.stats().foreground_requests, 1);
+  EXPECT_EQ(fs.stats().foreground_bytes, 128 * KiB);
+  const FsStats since_first = fs.stats() - after_first;
+  EXPECT_EQ(since_first.requests, 1);
+  EXPECT_EQ(since_first.bytes, 4 * KiB);
+  EXPECT_EQ(since_first.foreground_requests, 0);
+  EXPECT_EQ(since_first.foreground_bytes, 0);
 }
 
 TEST(FileSystem, ContentTrackingRoundTrip) {

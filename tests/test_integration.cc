@@ -1,12 +1,17 @@
 // End-to-end integration tests: full S4D-Cache middleware over both
 // simulated file systems, driven by the paper's workloads, with content
 // verification and the behavioural claims of the evaluation section.
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/config_parser.h"
 #include "core/s4d_cache.h"
 #include "harness/driver.h"
+#include "harness/scenario.h"
 #include "harness/testbed.h"
-#include "trace/trace.h"
 #include "workloads/ior.h"
 
 namespace s4d {
@@ -152,45 +157,131 @@ TEST(Integration, ContentConsistentThroughS4DWithRebuilder) {
   EXPECT_GT(checker.checks(), 0);
 }
 
+double CServerRequestPercent(const pfs::FsStats& d, const pfs::FsStats& c) {
+  return 100.0 * static_cast<double>(c.foreground_requests) /
+         static_cast<double>(d.foreground_requests + c.foreground_requests);
+}
+
 TEST(Integration, RequestDistributionShapeMatchesTableIII) {
   harness::Testbed bed{harness::TestbedConfig{}};
   core::S4DConfig cfg;
   cfg.cache_capacity = 16 * MiB;
   auto s4d = bed.MakeS4D(cfg);
-  trace::TraceCollector collector;
-  collector.Attach(bed.dservers(), "DServers");
-  collector.Attach(bed.cservers(), "CServers");
   mpiio::MpiIoLayer layer(bed.engine(), *s4d);
 
   // Small random writes: most requests should land on CServers.
   workloads::IorConfig small = SmallRandomIor(device::IoKind::kWrite);
   small.file_size = 32 * MiB;
   small.ranks = 4;
-  const SimTime small_begin = bed.engine().now();
+  const pfs::FsStats small_d0 = bed.dservers().stats();
+  const pfs::FsStats small_c0 = bed.cservers().stats();
   workloads::IorWorkload small_wl(small);
   harness::RunClosedLoop(layer, small_wl);
-  const SimTime small_end = bed.engine().now();
+  const pfs::FsStats small_d = bed.dservers().stats() - small_d0;
+  const pfs::FsStats small_c = bed.cservers().stats() - small_c0;
 
-  const auto small_dist = collector.RequestDistribution(small_begin, small_end);
   // At this reduced scale the global-stream table absorbs part of the
   // random traffic (partitions are only 8 MiB); the majority must still
   // be redirected. bench_table3 reproduces the paper's 84/16 split at the
   // fuller mix scale.
-  EXPECT_GT(small_dist.RequestPercent("CServers"), 50.0);
+  EXPECT_GT(CServerRequestPercent(small_d, small_c), 50.0);
 
-  // Large sequential writes: everything on DServers.
+  // Large sequential writes: every foreground request on DServers (the
+  // Rebuilder may still be destaging the small phase in the background).
   workloads::IorConfig big;
   big.ranks = 4;
   big.file = "big.dat";
   big.file_size = 64 * MiB;
   big.request_size = 4 * MiB;
-  const SimTime big_begin = bed.engine().now();
+  const pfs::FsStats big_d0 = bed.dservers().stats();
+  const pfs::FsStats big_c0 = bed.cservers().stats();
   workloads::IorWorkload big_wl(big);
   harness::RunClosedLoop(layer, big_wl);
-  const SimTime big_end = bed.engine().now();
+  const pfs::FsStats big_d = bed.dservers().stats() - big_d0;
+  const pfs::FsStats big_c = bed.cservers().stats() - big_c0;
 
-  const auto big_dist = collector.RequestDistribution(big_begin, big_end);
-  EXPECT_DOUBLE_EQ(big_dist.RequestPercent("DServers"), 100.0);
+  EXPECT_GT(big_d.foreground_requests, 0);
+  EXPECT_EQ(CServerRequestPercent(big_d, big_c), 0.0);
+}
+
+// The window counters behind s4dsim's routing table equal a per-request
+// count taken with the rule of the former trace collector: foreground
+// requests whose issue time lies in [measure_begin, measure_end).
+struct WindowCount {
+  std::int64_t requests = 0;
+  byte_count bytes = 0;
+  std::int64_t outside = 0;  // foreground requests outside the window
+};
+
+void ExpectWindowMatchesPerRequestCount(const ConfigParser& config) {
+  auto built = harness::Scenario::Build(config);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  harness::Scenario& scenario = **built;
+  std::vector<pfs::RequestRecord> d_records, c_records;
+  scenario.bed().dservers().AddObserver(
+      [&d_records](const pfs::RequestRecord& r) { d_records.push_back(r); });
+  scenario.bed().cservers().AddObserver(
+      [&c_records](const pfs::RequestRecord& r) { c_records.push_back(r); });
+  scenario.Run();
+
+  const auto count = [&scenario](const std::vector<pfs::RequestRecord>& rs) {
+    WindowCount n;
+    for (const pfs::RequestRecord& r : rs) {
+      if (r.priority != pfs::Priority::kNormal) continue;
+      if (r.issue_time < scenario.measure_begin() ||
+          r.issue_time >= scenario.measure_end()) {
+        ++n.outside;
+        continue;
+      }
+      ++n.requests;
+      n.bytes += r.size;
+    }
+    return n;
+  };
+  const WindowCount d = count(d_records);
+  const WindowCount c = count(c_records);
+  EXPECT_GT(d.requests + c.requests, 0);
+  EXPECT_EQ(scenario.dservers_window().foreground_requests, d.requests);
+  EXPECT_EQ(scenario.dservers_window().foreground_bytes, d.bytes);
+  EXPECT_EQ(scenario.cservers_window().foreground_requests, c.requests);
+  EXPECT_EQ(scenario.cservers_window().foreground_bytes, c.bytes);
+  if (scenario.warms_up()) {
+    // The warm-up's requests were issued and are excluded.
+    EXPECT_GT(d.outside + c.outside, 0);
+  }
+}
+
+TEST(Integration, ScenarioWindowCountersExcludeWarmUp) {
+  ConfigParser config;
+  config.Set("middleware", "cache_capacity", "4m");
+  config.Set("workload", "ranks", "4");
+  config.Set("workload", "file_size", "8m");
+  config.Set("workload", "request_size", "16k");
+  config.Set("workload", "kind", "read");
+  config.Set("workload", "repeat", "2");
+  ExpectWindowMatchesPerRequestCount(config);
+}
+
+TEST(Integration, ScenarioWindowCountersMatchTimedTrace) {
+  // Two ranks, 64 KiB apart in time and space: writes, then reads back.
+  std::string csv = "rank,kind,offset,size,arrival_ns\n";
+  for (int i = 0; i < 64; ++i) {
+    const int rank = i % 2;
+    const char* kind = i < 48 ? "write" : "read";
+    const byte_count offset = rank * 8 * MiB + (i % 48) / 2 * 64 * KiB;
+    csv += std::to_string(rank) + "," + kind + "," + std::to_string(offset) +
+           ",16384," + std::to_string(i * 200000) + "\n";
+  }
+  const std::string path = ::testing::TempDir() + "window_trace.csv";
+  std::ofstream(path) << csv;
+
+  ConfigParser config;
+  config.Set("middleware", "cache_capacity", "16m");
+  config.Set("workload", "type", "trace");
+  config.Set("workload", "repeat", "2");
+  config.Set("trace", "path", path);
+  config.Set("trace", "mode", "open");
+  ExpectWindowMatchesPerRequestCount(config);
 }
 
 TEST(Integration, OverheadNegligibleWhenNothingIsCacheable) {

@@ -89,7 +89,6 @@
 #include "harness/sweep_runner.h"
 #include "obs/observability.h"
 #include "obs/sampler.h"
-#include "trace/trace.h"
 #include "tracein/loader.h"
 #include "tracein/replayer.h"
 
@@ -141,10 +140,6 @@ int Run(const ConfigParser& config) {
   core::S4DCache* s4d = scenario.s4d();
   const policy::PolicyEngine* policy_engine = scenario.policy_engine();
   calib::CalibrationEngine* calibration = scenario.calibration();
-
-  trace::TraceCollector collector;
-  collector.Attach(bed.dservers(), "DServers");
-  collector.Attach(bed.cservers(), "CServers");
 
   if (calibration) {
     std::printf("calibration: forget %g, min_samples %lld, queue gain %g%s\n",
@@ -287,18 +282,25 @@ int Run(const ConfigParser& config) {
     wt.Print(std::cout);
   }
 
+  // Foreground requests per tier over the measured passes.
   std::printf("\n-- routing --\n");
-  const auto dist = collector.RequestDistribution(scenario.measure_begin(),
-                                                  scenario.measure_end());
+  const pfs::FsStats& d_window = scenario.dservers_window();
+  const pfs::FsStats& c_window = scenario.cservers_window();
+  const std::int64_t routed =
+      d_window.foreground_requests + c_window.foreground_requests;
   TablePrinter routing({"servers", "requests", "%", "bytes"});
-  for (const std::string group : {"DServers", "CServers"}) {
-    const auto rit = dist.requests.find(group);
-    const auto bit = dist.bytes.find(group);
-    routing.AddRow({group,
-                    TablePrinter::Int(rit == dist.requests.end() ? 0 : rit->second),
-                    TablePrinter::Percent(dist.RequestPercent(group)),
-                    FormatBytes(bit == dist.bytes.end() ? 0 : bit->second)});
-  }
+  const auto add_row = [&routing, routed](const char* group,
+                                          const pfs::FsStats& window) {
+    const double percent =
+        routed == 0 ? 0.0
+                    : 100.0 * static_cast<double>(window.foreground_requests) /
+                          static_cast<double>(routed);
+    routing.AddRow({group, TablePrinter::Int(window.foreground_requests),
+                    TablePrinter::Percent(percent),
+                    FormatBytes(window.foreground_bytes)});
+  };
+  add_row("DServers", d_window);
+  add_row("CServers", c_window);
   routing.Print(std::cout);
 
   if (s4d) {
