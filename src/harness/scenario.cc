@@ -211,6 +211,9 @@ Result<std::unique_ptr<Scenario>> Scenario::Build(const ConfigParser& config,
   s->faults_ = std::move(*schedule);
   TestbedConfig bed_cfg;
   bed_cfg.obs = obs;
+  // The HDD models' seeds, so a seed sweep varies the cluster as well as
+  // the IOR generator (HPIO and Tile-IO have no seed of their own).
+  bed_cfg.seed = Seed(config);
   if (Status cluster = ApplyClusterOverrides(config, bed_cfg); !cluster.ok()) {
     return cluster;
   }

@@ -46,7 +46,8 @@ class Scenario {
   // scenario.
   static Result<std::unique_ptr<Scenario>> Build(
       const ConfigParser& config, obs::Observability* obs = nullptr);
-  // workload.seed (default 42): the base seed of a sweep.
+  // workload.seed (default 42): the seed of the IOR generator and of the
+  // testbed's HDD models, and the base seed of a sweep.
   static std::uint64_t Seed(const ConfigParser& config);
   // Resolves a relative [trace] path or workload.trace against the
   // directory of `config_path`, so a config can name a trace bundled next

@@ -68,7 +68,8 @@
 // `--capture-out=` and `--sample-interval=` override the config file.
 //
 // Seed sweeps: `--sweep-seeds=N` runs N copies of the experiment with
-// workload seeds base, base+1, ..., base+N-1 (base = workload.seed) and
+// seeds base, base+1, ..., base+N-1 (base = workload.seed; it seeds the
+// IOR generator and the HDD models) and
 // prints one result row per seed plus an aggregate. `--jobs=J` runs them on
 // J threads; every run owns its whole simulated world, so the per-seed
 // rows are byte-identical for any J. harness::Scenario builds and runs
